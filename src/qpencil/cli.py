@@ -210,13 +210,16 @@ def _records_doc(command: str, records):
     }
 
 
-def _records_csv(records) -> str:
-    return _to_csv(("parameter", "observable", "label"),
-                   [(r.parameter, r.observable, r.label) for r in records])
+def _records_csv(records):
+    return lambda: _to_csv(("parameter", "observable", "label"),
+                           [(r.parameter, r.observable, r.label) for r in records])
 
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each command returns its JSON document and a zero-argument function that
+# builds the CSV text, so the CSV is only built when it is asked for.
 
 
 def _cmd_spectrum(config: RunConfig):
@@ -224,8 +227,7 @@ def _cmd_spectrum(config: RunConfig):
     w, _ = analysis.oracle_eigensolve(A, B)
     doc = {"schema_version": SCHEMA_VERSION, "command": "spectrum",
            "problem": echo, "eigenvalues": list(map(float, w))}
-    csv = _to_csv(("index", "eigenvalue"), list(enumerate(map(float, w))))
-    return doc, csv
+    return doc, lambda: _to_csv(("index", "eigenvalue"), enumerate(map(float, w)))
 
 
 def _cmd_reduce(config: RunConfig):
@@ -246,26 +248,20 @@ def _cmd_reduce(config: RunConfig):
            "route": route, "size": H.size, "half_bandwidth": H.half_bandwidth,
            "nnz": count_nonzeros(H), "predicted_nnz": predicted,
            "diagonals": bands}
-    rows = []
-    for d, band in enumerate(H.diagonals):
-        for i, v in enumerate(band):
-            rows.append((d, i, float(v.real), float(v.imag)))
-    csv = _to_csv(("offset", "index", "value_re", "value_im"), rows)
-    return doc, csv
+    rows = ((d, i, float(v.real), float(v.imag))
+            for d, band in enumerate(H.diagonals) for i, v in enumerate(band))
+    return doc, lambda: _to_csv(("offset", "index", "value_re", "value_im"), rows)
 
 
 def _cmd_qpe(config: RunConfig):
     A, B, echo = _problem_matrices(config)
     route = config.reduction_route
     reduce_fn = reduction.reduce_sqrt if route == "sqrt" else reduction.reduce_cholesky
-    red = reduce_fn(A, B)
-    H = red.hamiltonian
+    H = reduce_fn(A, B).hamiltonian
     ss = qpe.gershgorin_shift_scale(H)
+    trial = "ground"
     if config.trial == "uniform":
         trial = np.full(H.size, 1.0 / np.sqrt(H.size), dtype=complex)
-    else:  # ground: transformed lowest oracle eigenvector
-        _, V = analysis.oracle_eigensolve(A, B)
-        trial = reduction.forward_transform(V[:, 0], red.transform_witness, red.route)
     result = qpe.run_qpe(H, trial, config.t_bits, ss,
                          evolution=config.evolution,
                          trotter_steps=config.trotter_steps)
@@ -283,10 +279,9 @@ def _cmd_qpe(config: RunConfig):
         "dominant_eigenvalue": qpe.outcome_to_eigenvalue(dominant, config.t_bits, ss),
         "shots": config.shots, "seed": config.seed, "samples": samples,
     }
-    rows = [(y, float(p), qpe.outcome_to_eigenvalue(y, config.t_bits, ss))
-            for y, p in enumerate(result.distribution)]
-    csv = _to_csv(("outcome", "probability", "eigenvalue"), rows)
-    return doc, csv
+    rows = ((y, float(p), qpe.outcome_to_eigenvalue(y, config.t_bits, ss))
+            for y, p in enumerate(result.distribution))
+    return doc, lambda: _to_csv(("outcome", "probability", "eigenvalue"), rows)
 
 
 def _cmd_scan_sparsity(config: RunConfig):
@@ -309,7 +304,7 @@ def _cmd_scan_sparsity(config: RunConfig):
                      vals["nnz_ratio"],
                      vals["rel_dev_cholesky"],
                      vals["rel_dev_sqrt"]))
-    return doc, _to_csv(header, rows)
+    return doc, lambda: _to_csv(header, rows)
 
 
 def _default_trotter_problem():
@@ -349,9 +344,9 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> tuple:
     """Execute a validated configuration; returns (exit_code, output_text)."""
-    doc, csv = _COMMANDS[config.command](config)
+    doc, build_csv = _COMMANDS[config.command](config)
     if config.out_format == "csv":
-        return 0, csv
+        return 0, build_csv()
     return 0, _to_json(doc) + "\n"
 
 
@@ -411,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trotter-steps", type=int, default=None,
                    help="Trotter cycles per unit power (trotter evolution)")
     p.add_argument("--trial", choices=("ground", "uniform"), default="ground",
-                   help="trial state: transformed lowest oracle eigenvector, "
-                        "or the uniform state")
+                   help="trial state: lowest eigenvector of the reduced "
+                        "Hamiltonian, or the uniform state")
 
     p = sub.add_parser("scan-sparsity", help="nonzero counts of both reductions")
     add_common(p)

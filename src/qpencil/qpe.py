@@ -11,12 +11,25 @@ Conventions (fixed here, once, for the whole package):
 * Qubit ordering.  The ancilla register is most significant; ancilla bit
   ``j`` controls the ``2**j``-th power of the unit evolution, so the branch
   with ancilla integer ``a`` carries ``a`` repetitions of it.  Controlled
-  powers are realized by evolving ``2**j`` times longer (exact path) or by
+  powers are realized by multiplying eigenphases (exact path) or by
   repeating Trotter cycles (trotter path), never by squaring matrices.
 * Padding.  When the physical dimension is not a power of two, the
   Hamiltonian is embedded in the next power of two with decoupled padding
   rows whose mapped phase sits at ``1 - guard/2``, above every physical
   phase, so padding outcomes cannot be mistaken for physical ones.
+* Readout.  For exact evolution the outcome distribution has the closed
+  form (Cleve, Ekert, Macchiavello & Mosca, quant-ph/9708016)
+
+      P(y) = sum_j |c_j|**2 F_M(phi_j - y/M),
+      F_M(d) = sin(pi M d)**2 / (M sin(pi d))**2 = (sinc(M d) / sinc(d))**2,
+
+  with ``M = 2**t``, eigenphases ``phi_j`` and trial-state overlaps ``c_j``
+  on the matching eigenvectors.  Trotter evolution has no eigenbasis of its
+  own, so it is simulated as a statevector and read out by an inverse
+  Fourier transform on the ancilla axis.
+* Eigensolver.  Every dense decomposition here goes through one LAPACK
+  seam, ``_eigh``; the Jacobi solver in ``qpencil.jacobi`` stays an
+  independent oracle that this module never calls.
 * Randomness.  Measurement sampling uses a PCG64 generator seeded
   explicitly and draws outcomes by inverse transform over the exact
   distribution, so a seed pins the full sample sequence.
@@ -36,7 +49,6 @@ from .errors import (
     OutOfRange,
     TooManyQubits,
 )
-from .jacobi import eigh_jacobi
 from .linalg import BandedHermitian
 
 #: Fraction of the phase interval kept free above the mapped spectrum.
@@ -46,6 +58,8 @@ DEFAULT_GUARD = 0.125
 MAX_QUBITS = 24
 
 _NORM_ATOL = 1e-10
+# Largest eigenphase-by-outcome kernel block the exact readout evaluates at once.
+_READOUT_BLOCK = 2 ** 20
 # Inflation applied to a spectral enclosure so that a tight upper bound
 # still maps strictly inside the guarded interval.
 _RANGE_PAD = 1.0 / 64.0
@@ -176,6 +190,11 @@ def gershgorin_shift_scale(H: BandedHermitian,
     return ShiftScale(lower, (1.0 - guard) / (span * (1.0 + _RANGE_PAD)), guard)
 
 
+def _eigh(H: BandedHermitian):
+    """Dense LAPACK eigendecomposition: ascending ``w`` and unitary ``V``."""
+    return np.linalg.eigh(H.to_dense())
+
+
 def _check_system(H: BandedHermitian, psi: Statevector) -> None:
     if H.size != 2 ** psi.n_qubits:
         raise DimensionMismatch(
@@ -187,7 +206,7 @@ def evolve_exact(H: BandedHermitian, time: float, psi: Statevector) -> Statevect
     _check_system(H, psi)
     if H.size > 4096:
         raise ValueError("dense evolution path is capped at dimension 4096")
-    w, V = eigh_jacobi(H.to_dense())
+    w, V = _eigh(H)
     amps = V @ (np.exp(-1j * w * time) * (V.conj().T @ psi.amplitudes))
     return Statevector(psi.n_qubits, amps)
 
@@ -226,7 +245,7 @@ class _TrotterCycle:
             raise DimensionMismatch(
                 f"factor sizes {H1.size} and {H2.size} differ")
         self.phase1 = np.exp(-1j * H1.diagonals[0].real * dt)
-        w2, V2 = eigh_jacobi(H2.to_dense())
+        w2, V2 = _eigh(H2)
         self.V2 = V2
         self.phase2 = np.exp(-1j * w2 * dt)
 
@@ -278,6 +297,25 @@ def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
     return amps
 
 
+def _fejer_readout(phases: np.ndarray, weights: np.ndarray, t_bits: int) -> np.ndarray:
+    """Exact-evolution outcome distribution ``sum_j w_j F_M(phi_j - y/M)``.
+
+    The eigenphase-by-outcome kernel is evaluated in blocks of at most
+    ``_READOUT_BLOCK`` entries.
+    """
+    M = 2 ** t_bits
+    outcome_phases = np.arange(M) / M
+    rows = max(1, _READOUT_BLOCK // M)
+    distribution = np.zeros(M)
+    for start in range(0, phases.size, rows):
+        j = slice(start, start + rows)
+        delta = phases[j, None] - outcome_phases
+        # F_M has period 1; wrapping to |delta| <= 1/2 keeps sinc(delta) >= 2/pi.
+        delta -= np.round(delta)
+        distribution += weights[j] @ (np.sinc(M * delta) / np.sinc(delta)) ** 2
+    return distribution
+
+
 def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
             evolution: str = "exact", trotter_steps: int | None = None) -> QpeResult:
     """Simulate phase estimation of a banded Hamiltonian.
@@ -285,15 +323,21 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
     The ancilla register starts in uniform superposition, branch ``a``
     accumulates ``a`` applications of the unit evolution (whose eigenphases
     are the mapped phases of ``H``), the inverse Fourier transform acts on
-    the ancilla, and the system register is traced out of the joint state.
+    the ancilla, and the system register is traced out.  Exact evolution
+    reads the distribution off the closed form in the module docstring,
+    from one decomposition of the embedded, phase-mapped ``H``; no joint
+    ancilla-by-system state is formed.  Trotter evolution builds that joint
+    state cycle by cycle and Fourier-transforms its ancilla axis.
 
     Parameters
     ----------
     H : BandedHermitian
         Physical Hamiltonian; padded to a power of two when necessary.
-    psi0 : Statevector or array_like
-        Trial state on the padded register, or a raw vector of the physical
-        dimension (zero-padded and normalized).
+    psi0 : Statevector, array_like or "ground"
+        Trial state on the padded register, a raw vector of the physical
+        dimension (zero-padded and normalized), or ``"ground"`` for the
+        lowest eigenvector of the embedded, phase-mapped ``H``, taken from
+        the decomposition that the exact readout uses.
     t_bits : int
         Ancilla width; outcomes resolve phases to ``2**-t_bits``.
     shift_scale : ShiftScale
@@ -308,6 +352,9 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
         raise ValueError(f"unknown evolution mode {evolution!r}")
     if evolution == "trotter" and (trotter_steps is None or trotter_steps < 1):
         raise ValueError("trotter evolution requires trotter_steps >= 1")
+    ground = isinstance(psi0, str)
+    if ground and psi0 != "ground":
+        raise ValueError(f"unknown trial state {psi0!r}")
     n_sys = max(1, int(math.ceil(math.log2(H.size))))
     if n_sys + t_bits > MAX_QUBITS:
         raise TooManyQubits(
@@ -315,26 +362,31 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
 
     pad_value = float(shift_scale.eigenvalue(1.0 - shift_scale.guard / 2.0))
     H_emb = _embed(H, 2 ** n_sys, pad_value)
-    state = _system_state(psi0, n_sys, H.size)
+    state = None if ground else _system_state(psi0, n_sys, H.size)
     H_phase = shift_scale.map_matrix(H_emb)  # spectrum equals the mapped phases
+    if ground or evolution == "exact":
+        phases, V = _eigh(H_phase)
+    if ground:
+        state = V[:, 0]
 
-    M = 2 ** t_bits
     if evolution == "exact":
-        phases, V = eigh_jacobi(H_phase.to_dense())
-        comps = V.conj().T @ state
-        kick = np.exp(2j * np.pi * np.outer(np.arange(M), phases))
-        joint = (kick * comps) @ V.T
-    else:
-        # exp(+2 pi i H_phase) realized as s Trotter cycles of time -2 pi / s
-        h1, h2 = split_tridiagonal(H_phase)
-        cycle = _TrotterCycle(h1, h2, -2.0 * np.pi / trotter_steps)
-        joint = np.empty((M, 2 ** n_sys), dtype=np.complex128)
-        cur = state
-        for a in range(M):
-            joint[a] = cur
-            if a + 1 < M:
-                for _ in range(trotter_steps):
-                    cur = cycle.apply(cur)
+        if ground:  # the trial is eigenvector 0 itself: all weight on phases[0]
+            phases, weights = phases[:1], np.ones(1)
+        else:
+            weights = np.abs(V.conj().T @ state) ** 2
+        return QpeResult(t_bits, _fejer_readout(phases, weights, t_bits), shift_scale)
+
+    # exp(+2 pi i H_phase) realized as s Trotter cycles of time -2 pi / s
+    M = 2 ** t_bits
+    h1, h2 = split_tridiagonal(H_phase)
+    cycle = _TrotterCycle(h1, h2, -2.0 * np.pi / trotter_steps)
+    joint = np.empty((M, 2 ** n_sys), dtype=np.complex128)
+    cur = state
+    for a in range(M):
+        joint[a] = cur
+        if a + 1 < M:
+            for _ in range(trotter_steps):
+                cur = cycle.apply(cur)
     joint /= math.sqrt(M)
 
     # Inverse Fourier transform on the ancilla axis:
@@ -380,6 +432,6 @@ def overlap_probabilities(psi0, H: BandedHermitian):
     if vec.shape != (H.size,):
         raise DimensionMismatch(
             f"trial vector of shape {vec.shape} against dimension {H.size}")
-    w, V = eigh_jacobi(H.to_dense())
+    w, V = _eigh(H)
     probs = np.abs(V.conj().T @ vec) ** 2
     return [(float(lam), float(p)) for lam, p in zip(w, probs)]

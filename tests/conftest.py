@@ -58,3 +58,20 @@ def qpe_kernel(phi, t_bits):
         else:
             out[i] = (np.sin(np.pi * M * d) / (M * s)) ** 2
     return out
+
+
+def qpe_statevector(phase_matrix, state, t_bits):
+    """Phase-estimation distribution by statevector simulation plus an FFT.
+
+    ``phase_matrix`` is a dense Hermitian matrix whose eigenvalues are the
+    eigenphases.  Branch ``a`` of the joint state holds
+    ``exp(2 pi i a phase_matrix) state`` (from a numpy.linalg
+    diagonalization), the inverse Fourier transform acts on the ancilla
+    axis, and the system register is traced out.
+    """
+    w, V = np.linalg.eigh(phase_matrix)
+    M = 2 ** t_bits
+    kick = np.exp(2j * np.pi * np.outer(np.arange(M), w))
+    joint = (kick * (V.conj().T @ state)) @ V.T / np.sqrt(M)
+    amps = np.fft.fft(joint, axis=0) / np.sqrt(M)
+    return (np.abs(amps) ** 2).sum(axis=1)

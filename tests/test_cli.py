@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qpencil import analysis, linalg, qpe
 from qpencil.cli import load_problem_spec, main, RandomPencilParams
 from qpencil.discretize import GridSpec, SturmLiouvilleSpec
 from qpencil.errors import NonPositiveCoefficient, ParseError
@@ -233,6 +234,49 @@ def test_qpe_uniform_trial(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0
     assert sum(doc["distribution"]) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("route", ["cholesky", "sqrt"])
+def test_qpe_ground_trial_decomposes_once(route, tmp_path, capsys, monkeypatch):
+    eigh_sizes, jacobi_dims = [], []
+    real_eigh = qpe._eigh
+    monkeypatch.setattr(qpe, "_eigh", lambda H: eigh_sizes.append(H.size) or real_eigh(H))
+    for module in (analysis, linalg):
+        monkeypatch.setattr(module, "eigh_jacobi",
+                            lambda M, *args, _real=module.eigh_jacobi, **kwargs:
+                            jacobi_dims.append(len(M)) or _real(M, *args, **kwargs))
+    assert not hasattr(qpe, "eigh_jacobi")
+    path = write_problem(tmp_path, UNIT_PROBLEM)
+    code, _, _ = run_cli(capsys, "qpe", "--problem", path, "--reduction", route,
+                         "--t-bits", "6", "--trial", "ground")
+    assert code == 0
+    assert eigh_sizes == [16]
+    # B is diagonal: the sqrt route still takes its 1 x 1 block roots from
+    # Jacobi, but no dense solve of the operator runs through the oracle
+    assert set(jacobi_dims) == (set() if route == "cholesky" else {1})
+
+    eigh_sizes.clear()
+    jacobi_dims.clear()
+    code, _, _ = run_cli(capsys, "spectrum", "--problem", path)
+    assert code == 0
+    assert eigh_sizes == [] and jacobi_dims == [15]
+
+
+@pytest.mark.parametrize("argv", [("qpe", "--t-bits", "5", "--shots", "4"),
+                                  ("reduce", "--reduction", "sqrt")])
+def test_csv_output_matches_json(argv, tmp_path, capsys):
+    path = write_problem(tmp_path, UNIT_PROBLEM)
+    _, out_json, _ = run_cli(capsys, argv[0], "--problem", path, *argv[1:])
+    _, out_csv, _ = run_cli(capsys, argv[0], "--problem", path, *argv[1:],
+                            "--format", "csv")
+    doc = json.loads(out_json)
+    rows = [line.split(",") for line in out_csv.splitlines()[1:]]
+    if argv[0] == "qpe":
+        assert [float(r[1]) for r in rows] == doc["distribution"]
+        assert float(rows[doc["dominant_outcome"]][2]) == doc["dominant_eigenvalue"]
+    else:
+        values = [[float(r[2]), float(r[3])] for r in rows]
+        assert values == [pair for band in doc["diagonals"] for pair in band]
 
 
 def test_scan_trotter_accepts_problem_file(tmp_path, capsys):
