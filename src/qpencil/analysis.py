@@ -16,8 +16,8 @@ from .errors import NotPositiveDefinite
 from .jacobi import eigh_jacobi
 from .linalg import (
     BandedHermitian,
+    BlockDiagonal,
     BlockDiagonalPD,
-    BlockLowerTriangular,
     count_nonzeros,
     predicted_nnz,
 )
@@ -60,11 +60,22 @@ def random_banded_hermitian(size: int, half_bandwidth: int,
 
 
 def random_block_diagonal_pd(block_sizes, rng: np.random.Generator) -> BlockDiagonalPD:
-    """Positive-definite blocks built as ``G G^H + 0.1 I`` for random ``G``."""
-    blocks = []
-    for s in block_sizes:
-        G = rng.uniform(-1.0, 1.0, (s, s)) + 1j * rng.uniform(-1.0, 1.0, (s, s))
-        blocks.append(G @ G.conj().T + 0.1 * np.eye(s))
+    """Positive-definite blocks built as ``G G^H + 0.1 I`` for random ``G``.
+
+    Block after block, the real and then the imaginary part of ``G`` are
+    drawn uniform on [-1, 1]; the draws come from one call, and the blocks
+    of each size are formed in one batched product.
+    """
+    sizes = np.array(block_sizes, dtype=int)
+    starts = np.cumsum(2 * sizes ** 2) - 2 * sizes ** 2
+    draws = rng.uniform(-1.0, 1.0, int((2 * sizes ** 2).sum()))
+    blocks = [None] * sizes.size
+    for m in set(sizes.tolist()):
+        index = np.flatnonzero(sizes == m)
+        parts = draws[starts[index, None] + np.arange(2 * m * m)].reshape(-1, 2, m, m)
+        G = parts[:, 0] + 1j * parts[:, 1]
+        for b, blk in zip(index.tolist(), G @ G.conj().swapaxes(1, 2) + 0.1 * np.eye(m)):
+            blocks[b] = blk
     return BlockDiagonalPD(tuple(block_sizes), tuple(blocks))
 
 
@@ -232,7 +243,7 @@ def scan_sparsity(k: int, m: int, sizes, seed: int = 0) -> list:
 
 def fill_fraction(M, rel_tol: float = 1e-12) -> float:
     """Fraction of entries above the relative threshold, in [0, 1]."""
-    if isinstance(M, (BandedHermitian, BlockDiagonalPD, BlockLowerTriangular)):
+    if isinstance(M, (BandedHermitian, BlockDiagonal)):
         size = M.size
     else:
         M = np.asarray(M)
@@ -244,9 +255,7 @@ def fill_fraction(M, rel_tol: float = 1e-12) -> float:
 
 def hermitian_inv_sqrt(M) -> np.ndarray:
     """Dense inverse square root of a positive-definite Hermitian matrix."""
-    if isinstance(M, BandedHermitian):
-        M = M.to_dense()
-    elif isinstance(M, BlockDiagonalPD):
+    if isinstance(M, (BandedHermitian, BlockDiagonal)):
         M = M.to_dense()
     w, V = eigh_jacobi(np.asarray(M, dtype=np.complex128))
     floor = _EIGENVALUE_FLOOR_RTOL * float(w.max())

@@ -137,8 +137,8 @@ def load_problem_spec(path: str, n_override: int | None = None):
     spec = discretize.SturmLiouvilleSpec(parsed["p"], parsed["q"], parsed["r"])
     grid = discretize.GridSpec(n)
     # Positivity at every point the builders will evaluate.
-    discretize._require_positive(spec.p(grid.half_nodes), "p", "at the half-grid points")
-    discretize._require_positive(spec.r(grid.nodes), "r", "at the grid points")
+    discretize.require_positive(spec.p(grid.half_nodes), "p", "at the half-grid points")
+    discretize.require_positive(spec.r(grid.nodes), "r", "at the grid points")
     return spec, grid
 
 
@@ -169,6 +169,15 @@ def _format_float(x: float) -> str:
 
 
 def _to_json(value) -> str:
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim in (1, 2):
+        # One template for the whole array: "%.17g" formats exactly as
+        # _format_float does, and finiteness is checked once.
+        if not np.isfinite(value).all():
+            raise ValueError("refusing to serialize a non-finite float")
+        template = "[" + ",".join(["%.17g"] * value.shape[-1]) + "]"
+        if value.ndim == 2:
+            template = "[" + ",".join([template] * value.shape[0]) + "]"
+        return template % tuple(value.ravel().tolist())
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -233,17 +242,15 @@ def _cmd_spectrum(config: RunConfig):
 def _cmd_reduce(config: RunConfig):
     A, B, echo = _problem_matrices(config)
     route = config.reduction_route
-    reduce_fn = reduction.reduce_sqrt if route == "sqrt" else reduction.reduce_cholesky
-    H = reduce_fn(A, B).hamiltonian
+    H = reduction.REDUCERS[route](A, B).hamiltonian
     block_sizes = set(B.block_sizes)
     predicted = None
     if len(block_sizes) == 1:
         try:
-            predicted = predicted_nnz("sqrt" if route == "sqrt" else "cholesky",
-                                      A.half_bandwidth, B.block_sizes[0], A.size)
+            predicted = predicted_nnz(route, A.half_bandwidth, B.block_sizes[0], A.size)
         except RegimeViolation:
             predicted = None
-    bands = [[[float(v.real), float(v.imag)] for v in band] for band in H.diagonals]
+    bands = [np.stack([band.real, band.imag], axis=1) for band in H.diagonals]
     doc = {"schema_version": SCHEMA_VERSION, "command": "reduce", "problem": echo,
            "route": route, "size": H.size, "half_bandwidth": H.half_bandwidth,
            "nnz": count_nonzeros(H), "predicted_nnz": predicted,
@@ -256,8 +263,7 @@ def _cmd_reduce(config: RunConfig):
 def _cmd_qpe(config: RunConfig):
     A, B, echo = _problem_matrices(config)
     route = config.reduction_route
-    reduce_fn = reduction.reduce_sqrt if route == "sqrt" else reduction.reduce_cholesky
-    H = reduce_fn(A, B).hamiltonian
+    H = reduction.REDUCERS[route](A, B).hamiltonian
     ss = qpe.gershgorin_shift_scale(H)
     trial = "ground"
     if config.trial == "uniform":
@@ -274,7 +280,7 @@ def _cmd_qpe(config: RunConfig):
         "route": route, "t_bits": config.t_bits,
         "evolution": config.evolution, "trotter_steps": config.trotter_steps,
         "shift": ss.shift, "scale": ss.scale, "guard": ss.guard,
-        "distribution": [float(p) for p in result.distribution],
+        "distribution": result.distribution,
         "dominant_outcome": dominant,
         "dominant_eigenvalue": qpe.outcome_to_eigenvalue(dominant, config.t_bits, ss),
         "shots": config.shots, "seed": config.seed, "samples": samples,
@@ -395,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a pencil to standard Hermitian form")
     add_common(p, problem=True, pencil=True)
-    p.add_argument("--reduction", choices=("sqrt", "cholesky"), default="sqrt")
+    p.add_argument("--reduction", choices=tuple(reduction.REDUCERS), default="sqrt")
 
     p = sub.add_parser("qpe", help="simulate phase estimation on a reduced problem")
     add_common(p, problem=True, pencil=True)
-    p.add_argument("--reduction", choices=("sqrt", "cholesky"), default="sqrt")
+    p.add_argument("--reduction", choices=tuple(reduction.REDUCERS), default="sqrt")
     p.add_argument("--t-bits", type=int, default=6, help="ancilla register width")
     p.add_argument("--shots", type=int, default=0, help="samples to draw (0 = none)")
     p.add_argument("--evolution", choices=("exact", "trotter"), default="exact")

@@ -128,7 +128,8 @@ class GridSpec:
         return (np.arange(0, self.n + 1) + 0.5) * self.dx
 
 
-def _require_positive(values: np.ndarray, name: str, where: str) -> None:
+def require_positive(values: np.ndarray, name: str, where: str) -> None:
+    """Raise :class:`NonPositiveCoefficient` unless every value is positive."""
     if (values <= 0.0).any():
         worst = float(values.min())
         raise NonPositiveCoefficient(
@@ -144,10 +145,10 @@ def build_sl_generalized(spec: SturmLiouvilleSpec, grid: GridSpec):
     """
     dx = grid.dx
     ph = spec.p(grid.half_nodes)
-    _require_positive(ph, "p", "at the half-grid points")
+    require_positive(ph, "p", "at the half-grid points")
     qv = spec.q(grid.nodes)
     rv = spec.r(grid.nodes)
-    _require_positive(rv, "r", "at the grid points")
+    require_positive(rv, "r", "at the grid points")
     inv_dx2 = 1.0 / (dx * dx)
     diag = (ph[:-1] + ph[1:] + qv * dx * dx) * inv_dx2
     off = -ph[1:-1] * inv_dx2
@@ -167,10 +168,10 @@ def build_sl_reduced(spec: SturmLiouvilleSpec, grid: GridSpec) -> BandedHermitia
     """
     dx = grid.dx
     ph = spec.p(grid.half_nodes)
-    _require_positive(ph, "p", "at the half-grid points")
+    require_positive(ph, "p", "at the half-grid points")
     qv = spec.q(grid.nodes)
     rv = spec.r(grid.nodes)
-    _require_positive(rv, "r", "at the grid points")
+    require_positive(rv, "r", "at the grid points")
     inv_dx2 = 1.0 / (dx * dx)
     rs = np.sqrt(rv)
     diag = (ph[:-1] + ph[1:] + qv * dx * dx) * inv_dx2 / rv
@@ -211,7 +212,7 @@ def build_fem_mass_tent(r, grid: GridSpec) -> BandedHermitian:
              or (r.kind == "samples" and r.data.size == n + 2))
     xs = np.arange(0, n + 2) * dx
     checks = r(np.concatenate([xs, (xs[:-1] + xs[1:]) / 2.0]))
-    _require_positive(checks, "r", "on the element mesh")
+    require_positive(checks, "r", "on the element mesh")
 
     diag = np.zeros(n)
     off = np.zeros(max(n - 1, 0))
@@ -293,7 +294,7 @@ def build_fem_mass_dg(r, n_cells: int, order: int) -> BlockDiagonalPD:
     h = 1.0 / n_cells
     edges = np.arange(n_cells + 1) * h
     checks = r(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))
-    _require_positive(checks, "r", "on the cell mesh")
+    require_positive(checks, "r", "on the cell mesh")
     blocks = []
     for c in range(n_cells):
         mom = _cell_moments(r, edges[c], h, 2 * order)

@@ -2,8 +2,12 @@
 
 Matrices are stored compactly: a Hermitian band matrix keeps only its
 diagonal and upper bands (the lower triangle is implied by conjugate
-symmetry), and a block-diagonal matrix keeps only its dense blocks.  Full
-matrices are materialized only on small oracle paths.
+symmetry), and a block-diagonal matrix keeps only its dense blocks, stacked
+into one ``(nb, m, m)`` array per distinct block size ``m``.  Block
+routines (Cholesky, square root, inverse, solves, and the congruence
+``T A T^H`` that both pencil reductions assemble) are batched LAPACK calls
+over those stacks, with no loop over blocks or entries.  Full matrices are
+materialized only on small oracle paths.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RegimeViolation
-from .jacobi import eigh_jacobi
 
 #: Relative threshold below which an entry counts as a structural zero.
 NNZ_RTOL = 1e-12
@@ -168,119 +171,151 @@ class BandedHermitian:
         return BandedHermitian(self.size, self.half_bandwidth, bands)
 
 
-@dataclass(frozen=True)
-class BlockDiagonalPD:
-    """Positive-definite Hermitian block-diagonal matrix.
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
 
-    Positive definiteness is validated eagerly at construction through a
-    Cholesky witness on every block, and each block must be Hermitian to
-    within a 1e-13 relative tolerance.
+
+class BlockDiagonal:
+    """Block-diagonal matrix of dense square blocks, stacked by size.
+
+    The blocks of each distinct size ``m`` live in one read-only
+    ``(nb, m, m)`` stack, so every blockwise operation is one batched numpy
+    call per distinct size, for any mix of sizes.  ``blocks`` lists the
+    blocks in diagonal order as views of the stacks.
     """
 
-    block_sizes: tuple
-    blocks: tuple
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
-        if len(self.blocks) != len(sizes):
+    def __init__(self, block_sizes, blocks):
+        self._set_layout(tuple(int(s) for s in block_sizes))
+        if len(blocks) != len(self.block_sizes):
             raise ValueError("one dense block required per block size")
-        blocks = []
-        for s, raw in zip(sizes, self.blocks):
-            blk = np.asarray(raw, dtype=np.complex128)
+        blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
+        for s, blk in zip(self.block_sizes, blocks):
             if blk.shape != (s, s):
                 raise ValueError(f"block of size {s} has shape {blk.shape}")
-            scale = max(float(np.abs(blk).max(initial=0.0)), 1e-300)
-            if float(np.abs(blk - blk.conj().T).max(initial=0.0)) > _HERMITIAN_RTOL * scale:
-                raise ValueError("blocks must be Hermitian within tolerance")
-            _cholesky_dense(blk)  # positive-definiteness witness
-            blocks.append(_frozen(blk))
-        object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        self._adopt([np.array([blocks[b] for b in index.tolist()]) for index, _ in self._groups])
+
+    def _set_layout(self, sizes: tuple) -> None:
+        if not sizes or min(sizes) < 1:
+            raise ValueError(f"block sizes must be positive, got {sizes}")
+        self.block_sizes = sizes
+        self.size = sum(sizes)
+        self._starts = np.cumsum((0,) + sizes[:-1])
+        size_of = np.array(sizes)
+        groups = []
+        for m in sorted(set(sizes)):
+            index = np.flatnonzero(size_of == m)
+            groups.append((index, self._starts[index, None] + np.arange(m)))
+        # (block numbers, (nb, m) row indices) per distinct size, ascending
+        self._groups = tuple(groups)
+
+    def _adopt(self, stacks) -> None:
+        self._stacks = tuple(_frozen(np.asarray(s, dtype=np.complex128)) for s in stacks)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Subclass hook: reject stacks that break the class invariant."""
 
     @classmethod
-    def from_diagonal(cls, values) -> "BlockDiagonalPD":
-        vals = np.asarray(values, dtype=np.complex128)
-        return cls(tuple([1] * vals.size), tuple(vals.reshape(-1, 1, 1)))
-
-    @classmethod
-    def identity(cls, n: int) -> "BlockDiagonalPD":
-        return cls.from_diagonal(np.ones(n))
-
-    @property
-    def size(self) -> int:
-        return sum(self.block_sizes)
+    def _like(cls, other: "BlockDiagonal", stacks) -> "BlockDiagonal":
+        """A ``cls`` with the block layout of ``other`` and the given stacks."""
+        obj = cls.__new__(cls)
+        obj.block_sizes, obj.size = other.block_sizes, other.size
+        obj._starts, obj._groups = other._starts, other._groups
+        obj._adopt(stacks)
+        return obj
 
     @property
     def block_starts(self) -> tuple:
-        starts, acc = [], 0
-        for s in self.block_sizes:
-            starts.append(acc)
-            acc += s
-        return tuple(starts)
+        return tuple(self._starts.tolist())
+
+    @property
+    def blocks(self) -> tuple:
+        flat = [blk for stack in self._stacks for blk in stack]
+        order = np.argsort(np.concatenate([index for index, _ in self._groups]))
+        return tuple(flat[j] for j in order.tolist())
 
     def to_dense(self) -> np.ndarray:
-        n = self.size
-        M = np.zeros((n, n), dtype=np.complex128)
-        for start, s, blk in zip(self.block_starts, self.block_sizes, self.blocks):
-            M[start:start + s, start:start + s] = blk
+        M = np.zeros((self.size, self.size), dtype=np.complex128)
+        for (_, rows), stack in zip(self._groups, self._stacks):
+            M[rows[:, :, None], rows[:, None, :]] = stack
         return M
+
+    def _apply(self, op, x: np.ndarray) -> np.ndarray:
+        """``op(stack, segments)`` on every size group of ``x``, shape (size,) or (size, r)."""
+        y = np.empty_like(x)
+        for (_, rows), stack in zip(self._groups, self._stacks):
+            seg = x[rows]
+            y[rows] = op(stack, seg.reshape(*rows.shape, -1)).reshape(seg.shape)
+        return y
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.size,):
             raise DimensionMismatch(
                 f"vector of length {x.shape} against matrix of size {self.size}")
-        y = np.empty(self.size, dtype=np.complex128)
-        for start, s, blk in zip(self.block_starts, self.block_sizes, self.blocks):
-            y[start:start + s] = blk @ x[start:start + s]
-        return y
+        return self._apply(np.matmul, x)
+
+    def solve(self, X) -> np.ndarray:
+        """Solve ``M Y = X`` block by block with batched LAPACK solves.
+
+        ``X`` may be a vector or a matrix of stacked right-hand sides.
+        """
+        X = np.asarray(X, dtype=np.complex128)
+        if X.shape[:1] != (self.size,):
+            raise DimensionMismatch(
+                f"right-hand side has leading dimension {X.shape[:1]}, "
+                f"matrix has size {self.size}")
+        return self._apply(np.linalg.solve, X)
+
+    def adjoint(self) -> "BlockDiagonal":
+        """Conjugate transpose, block by block."""
+        return BlockDiagonal._like(self, [_adjoint(s) for s in self._stacks])
+
+    def inverse(self) -> "BlockDiagonal":
+        """Blockwise inverse; only the ``m x m`` block inverses are formed."""
+        return BlockDiagonal._like(
+            self, [np.linalg.solve(s, np.eye(s.shape[1])) for s in self._stacks])
 
 
-@dataclass(frozen=True)
-class BlockLowerTriangular:
+class BlockDiagonalPD(BlockDiagonal):
+    """Positive-definite Hermitian block-diagonal matrix.
+
+    Each block must be Hermitian to within a 1e-13 relative tolerance, and
+    positive definiteness is validated eagerly at construction through a
+    batched Cholesky witness on every block.
+    """
+
+    def _validate(self) -> None:
+        for stack in self._stacks:
+            scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-300)
+            if (np.abs(stack - _adjoint(stack)).max(axis=(1, 2)) > _HERMITIAN_RTOL * scale).any():
+                raise ValueError("blocks must be Hermitian within tolerance")
+        for stack in self._stacks:
+            _cholesky(stack)  # positive-definiteness witness
+
+    @classmethod
+    def from_diagonal(cls, values) -> "BlockDiagonalPD":
+        vals = np.array(values, dtype=np.complex128)
+        obj = cls.__new__(cls)
+        obj._set_layout((1,) * vals.size)
+        obj._adopt([vals.reshape(-1, 1, 1)])
+        return obj
+
+    @classmethod
+    def identity(cls, n: int) -> "BlockDiagonalPD":
+        return cls.from_diagonal(np.ones(n))
+
+
+class BlockLowerTriangular(BlockDiagonal):
     """Block-diagonal lower-triangular factor with real positive diagonal."""
 
-    block_sizes: tuple
-    blocks: tuple
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
-        blocks = []
-        for s, raw in zip(sizes, self.blocks):
-            blk = np.asarray(raw, dtype=np.complex128)
-            if blk.shape != (s, s):
-                raise ValueError(f"block of size {s} has shape {blk.shape}")
-            if np.abs(np.triu(blk, 1)).max(initial=0.0) != 0.0:
+    def _validate(self) -> None:
+        for stack in self._stacks:
+            if np.abs(np.triu(stack, 1)).max() != 0.0:
                 raise ValueError("blocks must be lower triangular")
-            d = np.diag(blk)
-            if np.abs(d.imag).max(initial=0.0) != 0.0 or (d.real <= 0.0).any():
+            d = np.diagonal(stack, axis1=1, axis2=2)
+            if (d.imag != 0.0).any() or (d.real <= 0.0).any():
                 raise ValueError("triangular diagonal must be real positive")
-            blocks.append(_frozen(blk))
-        object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    @property
-    def size(self) -> int:
-        return sum(self.block_sizes)
-
-    @property
-    def block_starts(self) -> tuple:
-        starts, acc = [], 0
-        for s in self.block_sizes:
-            starts.append(acc)
-            acc += s
-        return tuple(starts)
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        M = np.zeros((n, n), dtype=np.complex128)
-        for start, s, blk in zip(self.block_starts, self.block_sizes, self.blocks):
-            M[start:start + s, start:start + s] = blk
-        return M
 
 
 @dataclass(frozen=True)
@@ -297,46 +332,25 @@ class SparsityReport:
             raise ValueError("measured_nnz must be non-negative")
 
 
-def _cholesky_dense(block: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a dense Hermitian block.
+def _cholesky(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of Hermitian blocks, one LAPACK call.
 
     Raises :class:`NotPositiveDefinite` when a pivot is non-positive or
-    falls below 1e-14 times the largest diagonal entry.
+    falls at or below 1e-14 times the largest diagonal entry of its block.
     """
-    n = block.shape[0]
-    L = np.zeros((n, n), dtype=np.complex128)
-    floor = _PIVOT_RTOL * float(np.diag(block).real.max(initial=0.0))
-    for j in range(n):
-        pivot = block[j, j].real
-        if j:
-            pivot -= float((np.abs(L[j, :j]) ** 2).sum())
-        if pivot <= 0.0 or pivot <= floor:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at position {j} (floor {floor:.3e})")
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1:, j] = (block[j + 1:, j] - L[j + 1:, :j] @ np.conjugate(L[j, :j])) / L[j, j].real
+    try:
+        L = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"a block of size {stack.shape[1]} has a non-positive pivot") from exc
+    pivots = np.diagonal(L, axis1=1, axis2=2).real ** 2
+    floor = _PIVOT_RTOL * np.diagonal(stack, axis1=1, axis2=2).real.max(axis=1)
+    low = pivots <= floor[:, None]
+    if low.any():
+        b, j = np.argwhere(low)[0]
+        raise NotPositiveDefinite(
+            f"pivot {pivots[b, j]:.3e} at position {j} (floor {floor[b]:.3e})")
     return L
-
-
-def _forward_sub(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``L Y = B`` for lower-triangular ``L``."""
-    Y = np.array(B, dtype=np.complex128, copy=True)
-    for i in range(L.shape[0]):
-        if i:
-            Y[i] -= L[i, :i] @ Y[:i]
-        Y[i] /= L[i, i]
-    return Y
-
-def _back_sub_conj(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``L^H Y = B`` for lower-triangular ``L``."""
-    n = L.shape[0]
-    Y = np.array(B, dtype=np.complex128, copy=True)
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            Y[i] -= np.conjugate(L[i + 1:, i]) @ Y[i + 1:]
-        Y[i] /= np.conjugate(L[i, i])
-    return Y
 
 
 def cholesky_block_diagonal(B: BlockDiagonalPD) -> BlockLowerTriangular:
@@ -345,57 +359,97 @@ def cholesky_block_diagonal(B: BlockDiagonalPD) -> BlockLowerTriangular:
     The factor shares the block structure of ``B``, so it stays exactly as
     sparse as the input.
     """
-    return BlockLowerTriangular(
-        B.block_sizes, tuple(_cholesky_dense(blk) for blk in B.blocks))
+    return BlockLowerTriangular._like(B, [_cholesky(s) for s in B._stacks])
 
 
-def _eigh_block(block: np.ndarray):
-    w, V = eigh_jacobi(block)
-    floor = _PIVOT_RTOL * float(w.max())
-    if float(w.min()) <= max(floor, 0.0):
-        raise NotPositiveDefinite(
-            f"block eigenvalue {w.min():.3e} at or below floor {floor:.3e}")
-    return w, V
+def block_powers(B: BlockDiagonalPD, *exponents: float) -> tuple:
+    """``B^p`` for each exponent ``p``, from one eigendecomposition of ``B``.
+
+    Each stack of blocks is diagonalized once by a batched LAPACK call, and
+    every power is rebuilt from that decomposition.  Raises
+    :class:`NotPositiveDefinite` when a block eigenvalue lies at or below
+    1e-14 times the largest eigenvalue of its block.
+    """
+    powers = [[] for _ in exponents]
+    for stack in B._stacks:
+        w, V = np.linalg.eigh(stack)
+        floor = np.maximum(_PIVOT_RTOL * w[:, -1], 0.0)
+        low = w[:, 0] <= floor
+        if low.any():
+            b = int(np.argmax(low))
+            raise NotPositiveDefinite(
+                f"block eigenvalue {w[b, 0]:.3e} at or below floor {floor[b]:.3e}")
+        for out, p in zip(powers, exponents):
+            M = (V * w[:, None, :] ** p) @ _adjoint(V)
+            out.append(0.5 * (M + _adjoint(M)))
+    return tuple(BlockDiagonalPD._like(B, stacks) for stacks in powers)
 
 
 def sqrt_block_diagonal(B: BlockDiagonalPD) -> BlockDiagonalPD:
-    """Unique positive-definite square root, block by block.
+    """Unique positive-definite square root, from one batched eigendecomposition.
 
-    Each block is diagonalized (Jacobi rotations) and rebuilt from the
-    square roots of its eigenvalues.
+    Each block is rebuilt from the square roots of its eigenvalues.
     """
-    roots = []
-    for blk in B.blocks:
-        w, V = _eigh_block(blk)
-        S = (V * np.sqrt(w)) @ V.conj().T
-        roots.append(0.5 * (S + S.conj().T))
-    return BlockDiagonalPD(B.block_sizes, tuple(roots))
+    return block_powers(B, 0.5)[0]
 
 
 def invert_block_diagonal(S: BlockDiagonalPD) -> BlockDiagonalPD:
     """Blockwise inverse; the block sparsity pattern is preserved."""
-    invs = []
-    for blk in S.blocks:
-        w, V = _eigh_block(blk)
-        M = (V / w) @ V.conj().T
-        invs.append(0.5 * (M + M.conj().T))
-    return BlockDiagonalPD(S.block_sizes, tuple(invs))
+    return block_powers(S, -1.0)[0]
 
 
 def solve_block_lower(L: BlockLowerTriangular, X) -> np.ndarray:
-    """Solve ``L Y = X`` without forming the inverse of ``L``.
+    """Solve ``L Y = X``; only the ``m x m`` blocks of ``L`` are solved against.
 
     ``X`` may be a vector or a matrix of stacked right-hand sides.
     """
-    X = np.asarray(X, dtype=np.complex128)
-    if X.shape[0] != L.size:
-        raise DimensionMismatch(
-            f"right-hand side has leading dimension {X.shape[0]}, "
-            f"factor has size {L.size}")
-    Y = np.empty_like(X)
-    for start, s, blk in zip(L.block_starts, L.block_sizes, L.blocks):
-        Y[start:start + s] = _forward_sub(blk, X[start:start + s])
-    return Y
+    return L.solve(X)
+
+
+def congruence(T: BlockDiagonal, A: BandedHermitian) -> BandedHermitian:
+    """Band storage of ``T A T^H`` for block-diagonal ``T``.
+
+    Block ``(I, J)`` of the result is ``T_I A_IJ T_J^H``.  Blocks are padded
+    to the largest size ``m``.  For each block offset ``D = J - I`` whose
+    pairs reach the band of ``A``, the sub-blocks ``A_IJ`` are gathered with
+    index arrays, multiplied in one batched product, and the entries on and
+    above the diagonal are scattered into the bands.  The result has
+    half-bandwidth ``k + 2 (m - 1)``, capped at ``size - 1``, and entries
+    below the structural-zero threshold are dropped.
+    """
+    if A.size != T.size:
+        raise DimensionMismatch(f"A has size {A.size}, T has size {T.size}")
+    n, k = A.size, A.half_bandwidth
+    sizes = np.array(T.block_sizes)
+    nb, m = sizes.size, int(sizes.max())
+    kk = min(n - 1, k + 2 * (m - 1))
+    Tp = np.zeros((nb, m, m), dtype=np.complex128)
+    for (index, _), stack in zip(T._groups, T._stacks):
+        Tp[index, :stack.shape[1], :stack.shape[1]] = stack
+    valid = np.arange(m) < sizes[:, None]
+    rows = np.minimum(T._starts[:, None] + np.arange(m), n - 1)
+    # W[k + c - r, r] holds A[r, c] for |c - r| <= k
+    W = np.zeros((2 * k + 1, n), dtype=np.complex128)
+    for d, band in enumerate(A.diagonals):
+        W[k + d, :n - d] = band
+        W[k - d, d:] = np.conjugate(band)
+    H = np.zeros((kk + 1, n), dtype=np.complex128)
+    ends = T._starts + sizes - 1
+    for D in range(nb):
+        I, J = np.arange(nb - D), np.arange(D, nb)
+        if (T._starts[J] - ends[I]).min() > k:
+            break  # larger offsets only move further from the band
+        R = rows[I][:, :, None]
+        off = rows[J][:, None, :] - R
+        keep = valid[I][:, :, None] & valid[J][:, None, :]
+        sub = np.where(keep & (np.abs(off) <= k), W[np.clip(off + k, 0, 2 * k), R], 0.0)
+        M = Tp[I] @ sub @ _adjoint(Tp[J])
+        if D == 0:
+            M = 0.5 * (M + _adjoint(M))
+            keep &= off >= 0  # the lower triangle is implied storage
+        keep &= off <= kk  # pairs wholly outside the band are zero
+        H[off[keep], np.broadcast_to(R, off.shape)[keep]] = M[keep]
+    return BandedHermitian(n, kk, tuple(H[d, :n - d] for d in range(kk + 1))).drop_small(NNZ_RTOL)
 
 
 def count_nonzeros(M, rel_tol: float = NNZ_RTOL) -> int:
@@ -413,10 +467,9 @@ def count_nonzeros(M, rel_tol: float = NNZ_RTOL) -> int:
         for band in M.diagonals[1:]:
             total += 2 * int((np.abs(band) > thr).sum())
         return total
-    if isinstance(M, (BlockDiagonalPD, BlockLowerTriangular)):
-        scale = max(float(np.abs(b).max(initial=0.0)) for b in M.blocks)
-        thr = rel_tol * scale
-        return sum(int((np.abs(b) > thr).sum()) for b in M.blocks)
+    if isinstance(M, BlockDiagonal):
+        thr = rel_tol * max(float(np.abs(s).max()) for s in M._stacks)
+        return sum(int((np.abs(s) > thr).sum()) for s in M._stacks)
     M = np.asarray(M)
     thr = rel_tol * float(np.abs(M).max(initial=0.0))
     return int((np.abs(M) > thr).sum())

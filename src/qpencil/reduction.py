@@ -19,20 +19,17 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import (
-    NNZ_RTOL,
     BandedHermitian,
     BlockDiagonalPD,
     BlockLowerTriangular,
-    _back_sub_conj,
-    _cholesky_dense,
-    _forward_sub,
+    block_powers,
     cholesky_block_diagonal,
-    invert_block_diagonal,
-    sqrt_block_diagonal,
+    congruence,
 )
 
 ROUTE_SQRT = "sqrt"
 ROUTE_CHOLESKY = "cholesky"
+_WITNESS_TYPES = {ROUTE_SQRT: BlockDiagonalPD, ROUTE_CHOLESKY: BlockLowerTriangular}
 
 
 @dataclass(frozen=True)
@@ -44,145 +41,76 @@ class ReducedProblem:
     transform_witness: object
 
     def __post_init__(self):
-        if self.route not in (ROUTE_SQRT, ROUTE_CHOLESKY):
-            raise ValueError(f"unknown route {self.route!r}")
-        expected = BlockDiagonalPD if self.route == ROUTE_SQRT else BlockLowerTriangular
-        if not isinstance(self.transform_witness, expected):
-            raise ValueError(
-                f"route {self.route!r} requires a {expected.__name__} witness")
-
-
-def _check_dims(A: BandedHermitian, B) -> None:
-    if A.size != B.size:
-        raise DimensionMismatch(f"A has size {A.size}, B has size {B.size}")
-
-
-def _transform_blockwise(A: BandedHermitian, block_sizes, block_starts,
-                         pair_fn) -> BandedHermitian:
-    """Assemble ``T_I^dag-free`` congruence blocks into band storage.
-
-    ``pair_fn(I, J, A_IJ)`` must return the transformed block for block row
-    ``I`` and block column ``J >= I``.  Only block pairs overlapping the band
-    of ``A`` are visited, and entries below the structural-zero threshold are
-    dropped from the result.
-    """
-    n, k = A.size, A.half_bandwidth
-    mmax = max(block_sizes)
-    kk = min(n - 1, k + 2 * (mmax - 1))
-    bands = [np.zeros(n - d, dtype=np.complex128) for d in range(kk + 1)]
-    nblocks = len(block_sizes)
-    for I in range(nblocks):
-        r0 = block_starts[I]
-        r1 = r0 + block_sizes[I]
-        for J in range(I, nblocks):
-            c0 = block_starts[J]
-            c1 = c0 + block_sizes[J]
-            if c0 - (r1 - 1) > k:
-                break  # later block columns only move further from the band
-            sub = A.dense_block(r0, r1, c0, c1)
-            M = pair_fn(I, J, sub)
-            if I == J:
-                M = 0.5 * (M + M.conj().T)
-            for a in range(r1 - r0):
-                b_lo = a if I == J else 0  # lower triangle is implied storage
-                base = c0 - (r0 + a)
-                for b in range(b_lo, c1 - c0):
-                    bands[base + b][r0 + a] = M[a, b]
-    return BandedHermitian(n, kk, tuple(bands)).drop_small(NNZ_RTOL)
+        _check_witness(self.route, self.transform_witness, ValueError)
 
 
 def reduce_sqrt(A: BandedHermitian, B: BlockDiagonalPD) -> ReducedProblem:
     """Square-root reduction ``H = B^{-1/2} A B^{-1/2}``.
 
-    For diagonal ``B`` this is the entrywise rescaling
-    ``H[i, j] = A[i, j] / sqrt(b_i b_j)``.
+    ``B^{1/2}`` (the witness) and ``B^{-1/2}`` come from one batched
+    eigendecomposition of the blocks of ``B``.  For diagonal ``B`` this is
+    the entrywise rescaling ``H[i, j] = A[i, j] / sqrt(b_i b_j)``.
     """
-    _check_dims(A, B)
-    S = sqrt_block_diagonal(B)
-    S_inv = invert_block_diagonal(S)
-    blocks = S_inv.blocks
-
-    def pair(I, J, sub):
-        return blocks[I] @ sub @ blocks[J]
-
-    H = _transform_blockwise(A, B.block_sizes, B.block_starts, pair)
-    return ReducedProblem(H, ROUTE_SQRT, S)
+    S, S_inv = block_powers(B, 0.5, -0.5)
+    return ReducedProblem(congruence(S_inv, A), ROUTE_SQRT, S)
 
 
 def reduce_cholesky(A: BandedHermitian, B: BlockDiagonalPD) -> ReducedProblem:
     """Cholesky reduction ``H = L^{-1} A L^{-H}`` with ``B = L L^H``.
 
-    Computed with blockwise triangular solves; the inverse of ``L`` is
-    never formed.
+    Only the ``m x m`` block inverses of ``L`` are formed, by one batched
+    solve per block size; the inverse of ``L`` as a whole never is.
     """
-    _check_dims(A, B)
     L = cholesky_block_diagonal(B)
-    blocks = L.blocks
-
-    def pair(I, J, sub):
-        Y = _forward_sub(blocks[I], sub)
-        return _forward_sub(blocks[J], Y.conj().T).conj().T
-
-    H = _transform_blockwise(A, B.block_sizes, B.block_starts, pair)
-    return ReducedProblem(H, ROUTE_CHOLESKY, L)
+    return ReducedProblem(congruence(L.inverse(), A), ROUTE_CHOLESKY, L)
 
 
-def _blockwise(witness, x, apply_block):
-    y = np.empty_like(x)
-    for start, s, blk in zip(witness.block_starts, witness.block_sizes, witness.blocks):
-        y[start:start + s] = apply_block(blk, x[start:start + s])
-    return y
+#: Reduction function for each route name.  The entries look the functions
+#: up when called, so a wrapper installed on the module attribute (as
+#: bench/spans.py installs) also sees the calls made through this table.
+REDUCERS = {ROUTE_SQRT: lambda A, B: reduce_sqrt(A, B),
+            ROUTE_CHOLESKY: lambda A, B: reduce_cholesky(A, B)}
+
+
+def _witness_vector(x, witness, route: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    _check_witness(route, witness)
+    if x.shape != (witness.size,):
+        raise DimensionMismatch(
+            f"vector of shape {x.shape} against witness of size {witness.size}")
+    return x
 
 
 def forward_transform(v, witness, route: str) -> np.ndarray:
     """Map an original-variable vector into the reduced problem's variable.
 
     Returns ``B^{1/2} v`` on the square-root route and ``L^H v`` on the
-    Cholesky route.
+    Cholesky route: both witnesses ``W`` satisfy ``B = W W^H``, so the
+    reduced variable is ``W^H v``.
     """
-    v = np.asarray(v, dtype=np.complex128)
-    _check_witness(route, witness)
-    if v.shape != (witness.size,):
-        raise DimensionMismatch(
-            f"vector of shape {v.shape} against witness of size {witness.size}")
-    if route == ROUTE_SQRT:
-        return witness.matvec(v)
-    return _blockwise(witness, v, lambda blk, seg: blk.conj().T @ seg)
+    return witness.adjoint().matvec(_witness_vector(v, witness, route))
 
 
 def recover_eigenvector(u_or_w, witness, route: str) -> np.ndarray:
     """Invert the change of variables and normalize so that ``v^H B v = 1``.
 
     Because both transforms turn the weighted norm into the Euclidean one,
-    normalizing the input before back-substitution yields a unit weighted
-    norm exactly.
+    normalizing the input before the blockwise solve with ``W^H`` yields a
+    unit weighted norm exactly.
     """
-    u = np.asarray(u_or_w, dtype=np.complex128)
-    _check_witness(route, witness)
-    if u.shape != (witness.size,):
-        raise DimensionMismatch(
-            f"vector of shape {u.shape} against witness of size {witness.size}")
+    u = _witness_vector(u_or_w, witness, route)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ValueError("cannot recover an eigenvector from the zero vector")
-    u = u / norm
-    if route == ROUTE_SQRT:
-        def solve_pd(blk, seg):
-            Lb = _cholesky_dense(blk)
-            return _back_sub_conj(Lb, _forward_sub(Lb, seg))
-        return _blockwise(witness, u, solve_pd)
-    return _blockwise(witness, u, _back_sub_conj)
+    return witness.adjoint().solve(u / norm)
 
 
-def _check_witness(route: str, witness) -> None:
-    if route == ROUTE_SQRT:
-        if not isinstance(witness, BlockDiagonalPD):
-            raise DimensionMismatch("square-root route expects a BlockDiagonalPD witness")
-    elif route == ROUTE_CHOLESKY:
-        if not isinstance(witness, BlockLowerTriangular):
-            raise DimensionMismatch("Cholesky route expects a BlockLowerTriangular witness")
-    else:
+def _check_witness(route: str, witness, error=DimensionMismatch) -> None:
+    if route not in _WITNESS_TYPES:
         raise ValueError(f"unknown route {route!r}")
+    expected = _WITNESS_TYPES[route]
+    if not isinstance(witness, expected):
+        raise error(f"route {route!r} requires a {expected.__name__} witness")
 
 
 def check_b_orthogonality(v1, v2, B: BlockDiagonalPD) -> float:

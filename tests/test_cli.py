@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpencil import analysis, linalg, qpe
-from qpencil.cli import load_problem_spec, main, RandomPencilParams
+from qpencil.cli import _to_json, load_problem_spec, main, RandomPencilParams
 from qpencil.discretize import GridSpec, SturmLiouvilleSpec
 from qpencil.errors import NonPositiveCoefficient, ParseError
 
@@ -241,19 +241,17 @@ def test_qpe_ground_trial_decomposes_once(route, tmp_path, capsys, monkeypatch):
     eigh_sizes, jacobi_dims = [], []
     real_eigh = qpe._eigh
     monkeypatch.setattr(qpe, "_eigh", lambda H: eigh_sizes.append(H.size) or real_eigh(H))
-    for module in (analysis, linalg):
-        monkeypatch.setattr(module, "eigh_jacobi",
-                            lambda M, *args, _real=module.eigh_jacobi, **kwargs:
-                            jacobi_dims.append(len(M)) or _real(M, *args, **kwargs))
-    assert not hasattr(qpe, "eigh_jacobi")
+    monkeypatch.setattr(analysis, "eigh_jacobi",
+                        lambda M, *args, _real=analysis.eigh_jacobi, **kwargs:
+                        jacobi_dims.append(len(M)) or _real(M, *args, **kwargs))
+    assert not hasattr(qpe, "eigh_jacobi") and not hasattr(linalg, "eigh_jacobi")
     path = write_problem(tmp_path, UNIT_PROBLEM)
     code, _, _ = run_cli(capsys, "qpe", "--problem", path, "--reduction", route,
                          "--t-bits", "6", "--trial", "ground")
     assert code == 0
     assert eigh_sizes == [16]
-    # B is diagonal: the sqrt route still takes its 1 x 1 block roots from
-    # Jacobi, but no dense solve of the operator runs through the oracle
-    assert set(jacobi_dims) == (set() if route == "cholesky" else {1})
+    # Jacobi is the oracle only: neither route's block routines call it
+    assert jacobi_dims == []
 
     eigh_sizes.clear()
     jacobi_dims.clear()
@@ -287,3 +285,14 @@ def test_scan_trotter_accepts_problem_file(tmp_path, capsys):
     assert code == 0
     errs = [r["observable"] for r in json.loads(out)["records"]]
     assert errs[1] < errs[0]
+
+
+def test_float_arrays_serialize_like_their_elements(rng):
+    values = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
+    values[:3] = (-0.0, 5e-324, 0.1)
+    for arr in (values, values.reshape(32, 2), values[:0], values[:0].reshape(0, 2)):
+        assert _to_json(arr) == "[" + ",".join(_to_json(v) for v in arr) + "]"
+    assert _to_json(values[:4]) == "[" + ",".join(format(float(v), ".17g") for v in values[:4]) + "]"
+    for bad in (np.array([1.0, np.nan]), np.array([[np.inf, 0.0]])):
+        with pytest.raises(ValueError):
+            _to_json(bad)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpencil.errors import DimensionMismatch, NotPositiveDefinite, RegimeViolation
@@ -9,6 +9,7 @@ from qpencil.linalg import (
     BlockDiagonalPD,
     BlockLowerTriangular,
     SparsityReport,
+    block_powers,
     cholesky_block_diagonal,
     count_nonzeros,
     invert_block_diagonal,
@@ -254,3 +255,41 @@ def test_sqrt_commutes_with_inverse(sizes, seed):
     left = invert_block_diagonal(sqrt_block_diagonal(B)).to_dense()
     right = sqrt_block_diagonal(invert_block_diagonal(B)).to_dense()
     assert np.linalg.norm(left - right) <= 1e-10 * max(np.linalg.norm(left), 1.0)
+
+
+@given(block_structures, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_batched_blocks_match_blockwise_references(sizes, seed):
+    B = pd_blocks(sizes, seed)
+    Bd = B.to_dense()
+    scale = np.linalg.norm(Bd)
+    S, S_inv = (M.to_dense() for M in block_powers(B, 0.5, -0.5))
+    assert np.linalg.norm(S @ S - Bd) <= 1e-11 * scale
+    assert np.linalg.norm(S @ S_inv - np.eye(B.size)) <= 1e-11 * B.size
+    L = cholesky_block_diagonal(B)
+    for blk, factor in zip(B.blocks, L.blocks):
+        assert np.abs(factor - cholesky_by_hand(blk)).max() <= 1e-12 * scale
+    assert np.linalg.norm(L.to_dense() @ L.to_dense().conj().T - Bd) <= 1e-12 * scale
+
+
+@given(block_structures, st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=30, deadline=None)
+def test_singular_block_in_mixed_stack_rejected(sizes, seed, data):
+    blocks = [np.array(blk) for blk in pd_blocks(sizes, seed).blocks]
+    bad = blocks[data.draw(st.integers(0, len(sizes) - 1))]
+    bad[-1, :] = bad[:, -1] = 0.0  # a zero row and column: exactly singular
+    with pytest.raises(NotPositiveDefinite):
+        BlockDiagonalPD(tuple(sizes), tuple(blocks))
+
+
+@given(block_structures, st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=30, deadline=None)
+def test_pivot_below_floor_rejected_although_lapack_factors(sizes, seed, data):
+    wide = [i for i, s in enumerate(sizes) if s >= 2]
+    assume(wide)  # a 1 x 1 block is its own largest diagonal entry
+    i = data.draw(st.sampled_from(wide))
+    blocks = list(pd_blocks(sizes, seed).blocks)
+    blocks[i] = np.diag([1.0] * (sizes[i] - 1) + [1e-15])
+    np.linalg.cholesky(blocks[i])  # LAPACK accepts the pivot 1e-15 ...
+    with pytest.raises(NotPositiveDefinite):  # ... the 1e-14 relative floor does not
+        BlockDiagonalPD(tuple(sizes), tuple(blocks))

@@ -179,6 +179,45 @@ def test_blockwise_assembly_matches_dense_reference(route, sizes, k, rng):
     assert np.abs(got.hamiltonian.to_dense() - ref).max() <= 1e-11 * scale
 
 
+def blockwise_reduction_reference(A, B, route):
+    """Bands of ``T A T^H`` by a loop over block pairs, ``T`` from per-block numpy.
+
+    Row ``d`` holds the entries ``(i, i + d)``; ``T`` is ``B^{-1/2}`` or
+    ``L^{-1}``, block by block.
+    """
+    if route == "sqrt":
+        T = [(V / np.sqrt(w)) @ V.conj().T
+             for w, V in (np.linalg.eigh(blk) for blk in B.blocks)]
+    else:
+        T = [np.linalg.inv(np.linalg.cholesky(blk)) for blk in B.blocks]
+    n, k, m = A.size, A.half_bandwidth, max(B.block_sizes)
+    ref = np.zeros((k + 2 * m - 1, n), dtype=complex)
+    starts, sizes = B.block_starts, B.block_sizes
+    for I in range(len(sizes)):
+        r0, r1 = starts[I], starts[I] + sizes[I]
+        for J in range(I, len(sizes)):
+            c0, c1 = starts[J], starts[J] + sizes[J]
+            if c0 - (r1 - 1) > k:
+                break
+            M = T[I] @ A.dense_block(r0, r1, c0, c1) @ T[J].conj().T
+            for a in range(r1 - r0):
+                for b in range(c1 - c0):
+                    if c0 + b >= r0 + a:
+                        ref[c0 + b - r0 - a, r0 + a] = M[a, b]
+    return ref
+
+
+@pytest.mark.parametrize("route", ["sqrt", "cholesky"])
+def test_reduction_at_n4096_matches_blockwise_numpy(route):
+    k, m, N = 1, 4, 4096
+    A, B = random_generalized_pair(N, k, m, seed=41)
+    H = (reduce_sqrt if route == "sqrt" else reduce_cholesky)(A, B).hamiltonian
+    ref = blockwise_reduction_reference(A, B, route)
+    assert H.half_bandwidth == k + 2 * (m - 1) == ref.shape[0] - 1
+    err = max(np.abs(band - ref[d, :N - d]).max() for d, band in enumerate(H.diagonals))
+    assert err <= 1e-11 * np.abs(ref).max()
+
+
 # ----------------------------------------------------------------- properties
 
 
