@@ -1,9 +1,12 @@
 """Classical oracle eigensolver and quantitative scaling scans.
 
 The oracle solves the pencil problem through the Cholesky route followed by
-a dense Jacobi diagonalization; the scans measure nonzero counts of the two
-reductions, the growth of the splitting commutator with grid refinement,
-and the first-order Trotter error against exact evolution.
+a dense Jacobi diagonalization, and it is the only caller of the Jacobi
+solver: an independent check that shares no eigensolver with the pipeline.
+The scans measure nonzero counts of the two reductions, the growth of the
+splitting commutator with grid refinement, and the first-order Trotter
+error against exact evolution; their dense spectra come from LAPACK, like
+the pipeline's.
 """
 
 from __future__ import annotations
@@ -12,27 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
 from .jacobi import eigh_jacobi
 from .linalg import (
     BandedHermitian,
     BlockDiagonal,
     BlockDiagonalPD,
+    block_powers,
     count_nonzeros,
     predicted_nnz,
 )
-from .qpe import Statevector, _TrotterCycle
-from .reduction import (
-    ROUTE_CHOLESKY,
-    recover_eigenvector,
-    reduce_cholesky,
-    reduce_sqrt,
-)
-
-_DENSE_NORM_CAP = 256
-_POWER_ITERATIONS = 200
-_POWER_RTOL = 1e-8
-_EIGENVALUE_FLOOR_RTOL = 1e-14
+from .qpe import _eigh, _TrotterCycle
+from .reduction import reduce_cholesky, reduce_sqrt
 
 
 @dataclass(frozen=True)
@@ -112,10 +105,8 @@ def oracle_eigensolve(A: BandedHermitian, B: BlockDiagonalPD | None = None):
         B = BlockDiagonalPD.identity(A.size)
     reduced = reduce_cholesky(A, B)
     w, W = eigh_jacobi(reduced.hamiltonian.to_dense())
-    V = np.empty_like(W)
-    for j in range(W.shape[1]):
-        V[:, j] = recover_eigenvector(W[:, j], reduced.transform_witness, ROUTE_CHOLESKY)
-    return w, V
+    # Jacobi's columns are orthonormal, so solving with L^H gives v^H B v = 1.
+    return w, reduced.transform_witness.adjoint().solve(W)
 
 
 def _laplacian(size: int) -> BandedHermitian:
@@ -123,26 +114,6 @@ def _laplacian(size: int) -> BandedHermitian:
     inv_dx2 = float((size + 1) ** 2)
     return BandedHermitian(
         size, 1, (np.full(size, 2.0 * inv_dx2), np.full(size - 1, -1.0 * inv_dx2)))
-
-
-def _spectral_norm(M: np.ndarray, size: int) -> float:
-    if size <= _DENSE_NORM_CAP:
-        w, _ = eigh_jacobi(M, vectors=False)
-        return float(np.abs(w).max(initial=0.0))
-    rng = np.random.Generator(np.random.PCG64(2024))
-    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        y = M @ x
-        new = float(np.linalg.norm(y))
-        if new == 0.0:
-            return 0.0
-        x = y / new
-        if abs(new - est) <= _POWER_RTOL * new:
-            return new
-        est = new
-    return est
 
 
 def scan_commutator_norm(potential, sizes) -> list:
@@ -165,22 +136,10 @@ def scan_commutator_norm(potential, sizes) -> list:
             raise ValueError("potential must return one value per site")
         # [H1, diag(v)] has zero diagonal and entries H1[i, j] (v_j - v_i);
         # multiplying by 1j makes it Hermitian with the same spectral norm.
-        hop = H1.diagonals[1]
-        upper = hop * (v[1:] - v[:-1])
-        C = np.zeros((size, size), dtype=np.complex128)
-        idx = np.arange(size - 1)
-        C[idx, idx + 1] = 1j * upper
-        C[idx + 1, idx] = np.conjugate(1j * upper)
-        records.append(ScanRecord(float(size), _spectral_norm(C, size),
-                                  "commutator_norm"))
+        C = BandedHermitian(size, 1, (np.zeros(size), 1j * H1.diagonals[1] * np.diff(v)))
+        norm = float(np.abs(np.linalg.eigvalsh(C.to_dense())).max())
+        records.append(ScanRecord(float(size), norm, "commutator_norm"))
     return records
-
-
-def _trial_states(n_qubits: int) -> list:
-    dim = 2 ** n_qubits
-    states = [Statevector.basis_state(n_qubits, i) for i in range(min(8, dim))]
-    states.append(Statevector.uniform(n_qubits))
-    return states
 
 
 def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
@@ -195,16 +154,15 @@ def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
     n_qubits = int(np.log2(H.size))
     if 2 ** n_qubits != H.size:
         raise ValueError("Trotter scan needs a power-of-two dimension")
-    w, V = eigh_jacobi(H.to_dense())
-    trials = _trial_states(n_qubits)
-    exact = [V @ (np.exp(-1j * w * time) * (V.conj().T @ t.amplitudes))
-             for t in trials]
+    trials = np.hstack([np.eye(H.size, min(8, H.size)),
+                        np.full((H.size, 1), 1.0 / np.sqrt(H.size))]).astype(np.complex128)
+    w, V = _eigh(H)
+    exact = V @ (np.exp(-1j * w * time)[:, None] * (V.conj().T @ trials))
     records = []
     for steps in steps_list:
         cycle = _TrotterCycle(H1, H2, time / steps)
         worst = 0.0
-        for trial, reference in zip(trials, exact):
-            amps = trial.amplitudes.copy()
+        for amps, reference in zip(trials.T, exact.T):
             for _ in range(steps):
                 amps = cycle.apply(amps)
             worst = max(worst, float(np.linalg.norm(amps - reference)))
@@ -254,13 +212,12 @@ def fill_fraction(M, rel_tol: float = 1e-12) -> float:
 
 
 def hermitian_inv_sqrt(M) -> np.ndarray:
-    """Dense inverse square root of a positive-definite Hermitian matrix."""
+    """Dense inverse square root of a positive-definite Hermitian matrix.
+
+    The matrix is taken as a single block of :func:`linalg.block_powers`,
+    which checks it the same way as every block of ``B``.
+    """
     if isinstance(M, (BandedHermitian, BlockDiagonal)):
         M = M.to_dense()
-    w, V = eigh_jacobi(np.asarray(M, dtype=np.complex128))
-    floor = _EIGENVALUE_FLOOR_RTOL * float(w.max())
-    if float(w.min()) <= max(floor, 0.0):
-        raise NotPositiveDefinite(
-            f"eigenvalue {w.min():.3e} at or below floor {floor:.3e}")
-    out = (V / np.sqrt(w)) @ V.conj().T
-    return 0.5 * (out + out.conj().T)
+    M = np.asarray(M, dtype=np.complex128)
+    return block_powers(BlockDiagonalPD((len(M),), (M,)), -0.5)[0].to_dense()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ class RandomPencilParams:
     size: int
     seed: int
 
+    def __post_init__(self):
+        if self.k < 0 or self.m < 1 or self.size < 1:
+            raise ConfigInvalid("random pencil needs k >= 0, m >= 1, size >= 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -64,23 +69,40 @@ class RunConfig:
     out_path: str | None = None
 
 
+def _number(value, name: str) -> float:
+    """A finite JSON number as a float; anything else raises ParseError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ParseError(f"field {name} must be a finite number")
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; floats, strings and booleans raise ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"field {name!r} must be an integer")
+    return value
+
+
 def _parse_coefficient(node, name: str) -> discretize.Coefficient:
     if not isinstance(node, dict) or len(node) != 1:
         raise ParseError(
             f"field {name!r} must be an object with exactly one of {_COEFF_KEYS}")
     key, value = next(iter(node.items()))
     if key == "constant":
-        if not isinstance(value, (int, float)):
-            raise ParseError(f"field {name}.constant must be a number")
-        return discretize.Coefficient.constant(float(value))
+        return discretize.Coefficient.constant(_number(value, f"{name}.constant"))
     if key == "poly":
         if not isinstance(value, list) or not value:
             raise ParseError(f"field {name}.poly must be a non-empty list")
-        return discretize.Coefficient.polynomial([float(v) for v in value])
+        return discretize.Coefficient.polynomial([_number(v, f"{name}.poly") for v in value])
     if key == "samples":
         if not isinstance(value, list) or len(value) < 2:
             raise ParseError(f"field {name}.samples must list at least two values")
-        return discretize.Coefficient.from_samples([float(v) for v in value])
+        return discretize.Coefficient.from_samples(
+            [_number(v, f"{name}.samples") for v in value])
     raise ParseError(f"field {name!r} has unknown coefficient form {key!r}")
 
 
@@ -90,8 +112,9 @@ def load_problem_spec(path: str, n_override: int | None = None):
     Returns either ``(SturmLiouvilleSpec, GridSpec)`` for a coefficient
     problem or :class:`RandomPencilParams` for a random-pencil problem.
     Sampled coefficients must carry exactly ``n + 2`` values (one per grid
-    node including both boundaries).  Coefficient positivity is validated
-    at every grid point the discretization will touch.
+    node including both boundaries).  Every coefficient value must be a
+    finite number, every count a JSON integer, and coefficient positivity
+    is validated at every grid point the discretization will touch.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,15 +129,10 @@ def load_problem_spec(path: str, n_override: int | None = None):
         raise ParseError("problem document must be a JSON object")
 
     if "k" in doc:
-        try:
-            params = RandomPencilParams(
-                k=int(doc["k"]), m=int(doc["m"]),
-                size=int(doc.get("size", doc.get("N"))), seed=int(doc.get("seed", 0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"invalid random-pencil fields: {exc}") from exc
-        if params.k < 0 or params.m < 1 or params.size < 1:
-            raise ParseError("random-pencil problem needs k >= 0, m >= 1, size >= 1")
-        return params
+        return RandomPencilParams(
+            k=_integer(doc["k"], "k"), m=_integer(doc.get("m"), "m"),
+            size=_integer(doc.get("size", doc.get("N")), "size"),
+            seed=_integer(doc.get("seed", 0), "seed"))
 
     coeffs = doc.get("coefficients", doc)
     if not isinstance(coeffs, dict):
@@ -124,7 +142,7 @@ def load_problem_spec(path: str, n_override: int | None = None):
         raise ParseError(f"missing coefficient fields: {', '.join(missing)}")
     if "n" not in doc and n_override is None:
         raise ParseError("missing field 'n'")
-    n = int(n_override if n_override is not None else doc["n"])
+    n = n_override if n_override is not None else _integer(doc["n"], "n")
     if n < 1:
         raise ParseError(f"field 'n' must be at least 1, got {n}")
 
@@ -322,10 +340,7 @@ def _default_trotter_problem():
 
 
 def _cmd_scan_trotter(config: RunConfig):
-    if config.problem is not None and not isinstance(config.problem, RandomPencilParams):
-        spec, grid = config.problem
-    else:
-        spec, grid = _default_trotter_problem()
+    spec, grid = config.problem or _default_trotter_problem()
     H = discretize.build_sl_reduced(spec, grid)
     ss = qpe.gershgorin_shift_scale(H)
     h1, h2 = qpe.split_tridiagonal(ss.map_matrix(H))
@@ -439,6 +454,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     problem = None
     if getattr(args, "problem", None):
         problem = load_problem_spec(args.problem, getattr(args, "n", None))
+        if args.command == "scan-trotter" and isinstance(problem, RandomPencilParams):
+            raise ConfigInvalid("scan-trotter needs a Sturm-Liouville problem, "
+                                "not a random pencil")
     elif getattr(args, "k", None) is not None and args.command in ("spectrum", "reduce", "qpe"):
         if getattr(args, "size", None) is None or getattr(args, "m", None) is None:
             raise ConfigInvalid("random pencil needs --k, --m, and --size together")

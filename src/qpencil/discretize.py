@@ -129,8 +129,8 @@ class GridSpec:
 
 
 def require_positive(values: np.ndarray, name: str, where: str) -> None:
-    """Raise :class:`NonPositiveCoefficient` unless every value is positive."""
-    if (values <= 0.0).any():
+    """Raise :class:`NonPositiveCoefficient` unless every value is positive (NaN is not)."""
+    if not (values > 0.0).all():
         worst = float(values.min())
         raise NonPositiveCoefficient(
             f"{name} must be positive {where}; minimum evaluated value {worst:g}")

@@ -108,26 +108,6 @@ class BandedHermitian:
                 M[idx + d, idx] = np.conjugate(band)
         return M
 
-    def dense_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Dense copy of the sub-block ``M[r0:r1, c0:c1]``."""
-        out = np.zeros((r1 - r0, c1 - c0), dtype=np.complex128)
-        for d, band in enumerate(self.diagonals):
-            # upper part: entries (i, i + d)
-            lo = max(r0, c0 - d)
-            hi = min(r1, c1 - d)
-            if hi > lo:
-                rows = np.arange(lo, hi)
-                out[rows - r0, rows + d - c0] = band[lo:hi]
-            if d == 0:
-                continue
-            # mirrored part: entries (i, i - d)
-            lo = max(r0, c0 + d)
-            hi = min(r1, c1 + d)
-            if hi > lo:
-                rows = np.arange(lo, hi)
-                out[rows - r0, rows - d - c0] = np.conjugate(band[lo - d:hi - d])
-        return out
-
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.size,):

@@ -38,7 +38,7 @@ Conventions (fixed here, once, for the whole package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,8 +145,6 @@ class QpeResult:
     t_bits: int
     distribution: np.ndarray
     shift_scale: ShiftScale
-    samples: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         dist = np.asarray(self.distribution, dtype=float)
@@ -160,9 +158,6 @@ class QpeResult:
         dist = np.ascontiguousarray(dist)
         dist.setflags(write=False)
         object.__setattr__(self, "distribution", dist)
-
-    def with_samples(self, samples: np.ndarray, seed: int) -> "QpeResult":
-        return replace(self, samples=np.asarray(samples), seed=seed)
 
 
 def gershgorin_shift_scale(H: BandedHermitian,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpencil import analysis
 from qpencil.analysis import (
     ScanRecord,
     fill_fraction,
@@ -105,24 +106,17 @@ def test_commutator_scan_linear_potential_quadratic_slope():
     assert norms[-1] / norms[-2] == pytest.approx(4.0, abs=0.4)
 
 
-def test_commutator_scan_power_iteration_path_agrees():
-    # force the iterative path by comparing against the dense value at the
-    # largest dense size
-    from qpencil.analysis import _laplacian, _spectral_norm
-
-    size = 300  # above the dense cap
-    H1 = _laplacian(size)
-    v = np.arange(1, size + 1, dtype=float)
-    hop = H1.diagonals[1] * (v[1:] - v[:-1])
+@pytest.mark.parametrize("size", [300, 1024])
+def test_commutator_scan_matches_eigvalsh_above_256(size):
+    v = np.arange(1, size + 1, dtype=float) ** 1.5
+    hop = -float((size + 1) ** 2) * np.diff(v)
     C = np.zeros((size, size), dtype=complex)
     idx = np.arange(size - 1)
     C[idx, idx + 1] = 1j * hop
-    C[idx + 1, idx] = -1j * np.conjugate(hop)
-    est = _spectral_norm(C, size)
+    C[idx + 1, idx] = -1j * hop
     ref = np.abs(np.linalg.eigvalsh(C)).max()
-    # fixed-budget power iteration on a clustered spectrum: percent-level
-    # accuracy, which is all the log-log slope fit needs
-    assert est == pytest.approx(ref, rel=1e-2)
+    [record] = scan_commutator_norm(lambda s: s ** 1.5, [size])
+    assert record.observable == pytest.approx(ref, rel=1e-12)
 
 
 def test_trotter_scan_commuting_split_floors():
@@ -205,3 +199,21 @@ def test_hermitian_inv_sqrt_against_direct(rng):
 def test_hermitian_inv_sqrt_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         hermitian_inv_sqrt(np.diag([1.0, -1.0]))
+
+
+# ------------------------------------------------------------------ the oracle
+
+
+def test_jacobi_runs_only_in_the_oracle(monkeypatch):
+    calls = []
+    real = analysis.eigh_jacobi
+    monkeypatch.setattr(analysis, "eigh_jacobi",
+                        lambda M, *args, **kwargs: calls.append(len(M)) or real(M, *args, **kwargs))
+    h1, h2 = scaled_split()
+    scan_trotter_error(h1, h2, 1.0, [4, 8])
+    scan_commutator_norm(lambda s: s, [8, 300])
+    hermitian_inv_sqrt(np.diag([1.0, 2.0, 3.0]))
+    assert calls == []
+    A, B = random_generalized_pair(12, 1, 3, seed=6)
+    oracle_eigensolve(A, B)
+    assert calls == [12]

@@ -74,6 +74,34 @@ def test_load_rejects_unknown_coefficient_form(tmp_path):
         load_problem_spec(write_problem(tmp_path, doc))
 
 
+@pytest.mark.parametrize("fields", [
+    '"p":{"constant":NaN},"q":{"constant":0},"r":{"constant":1}',
+    '"p":{"constant":1},"q":{"constant":Infinity},"r":{"constant":1}',
+    '"p":{"constant":1},"q":{"constant":0},"r":{"samples":[1,1,NaN,1,1,1,1]}',
+], ids=["p-nan", "q-infinity", "r-samples-nan"])
+def test_non_finite_coefficient_exits_2(fields, tmp_path, capsys):
+    path = write_problem(tmp_path, "{" + fields + ',"n":5}')
+    for command in ("spectrum", "reduce", "qpe"):
+        code, out, err = run_cli(capsys, command, "--problem", path)
+        assert (code, out) == (2, "")
+        assert "ParseError" in err and "finite number" in err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"p":{"constant":1},"q":{"constant":0},"r":{"constant":1},"n":"abc"}',
+    '{"p":{"constant":1},"q":{"constant":0},"r":{"constant":1},"n":5.7}',
+    '{"p":{"poly":["a"]},"q":{"constant":0},"r":{"constant":1},"n":5}',
+    '{"p":{"poly":[[1,2]]},"q":{"constant":0},"r":{"constant":1},"n":5}',
+    '{"k":1,"m":2.5,"size":8}',
+], ids=["n-string", "n-float", "poly-string", "poly-nested", "m-float"])
+def test_ill_typed_field_exits_2(doc, tmp_path, capsys):
+    path = write_problem(tmp_path, doc)
+    with pytest.raises(ParseError):
+        load_problem_spec(path)
+    code, _, err = run_cli(capsys, "spectrum", "--problem", path)
+    assert code == 2 and "ParseError" in err and "Traceback" not in err
+
+
 # ------------------------------------------------------------------- commands
 
 
@@ -213,6 +241,16 @@ def test_random_pencil_flags(capsys):
     assert len(doc["eigenvalues"]) == 16
 
 
+@pytest.mark.parametrize("k, m, size", [(1, 2, 0), (-1, 2, 8), (1, 0, 8)])
+def test_invalid_random_pencil_exits_2_from_flags_and_file(k, m, size, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "spectrum", "--k", str(k), "--m", str(m),
+                           "--size", str(size))
+    assert code == 2 and "ConfigInvalid" in err
+    path = write_problem(tmp_path, json.dumps({"k": k, "m": m, "size": size}))
+    code, _, err = run_cli(capsys, "spectrum", "--problem", path)
+    assert code == 2 and "ConfigInvalid" in err
+
+
 def test_grid_override_flag(tmp_path, capsys):
     path = write_problem(tmp_path, UNIT_PROBLEM)
     code, out, _ = run_cli(capsys, "spectrum", "--problem", path, "--n", "7")
@@ -285,6 +323,13 @@ def test_scan_trotter_accepts_problem_file(tmp_path, capsys):
     assert code == 0
     errs = [r["observable"] for r in json.loads(out)["records"]]
     assert errs[1] < errs[0]
+
+
+def test_scan_trotter_rejects_random_pencil_file(tmp_path, capsys):
+    path = write_problem(tmp_path, '{"k": 1, "m": 2, "size": 8}')
+    code, out, err = run_cli(capsys, "scan-trotter", "--problem", path, "--steps", "4")
+    assert (code, out) == (2, "")
+    assert "ConfigInvalid" in err
 
 
 def test_float_arrays_serialize_like_their_elements(rng):

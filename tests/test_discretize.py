@@ -144,6 +144,8 @@ def test_nonpositive_coefficients_rejected():
             GridSpec(4))
     with pytest.raises(NonPositiveCoefficient):
         build_sl_reduced(unit_spec(r=Coefficient.polynomial([0.05, -0.2])), GridSpec(8))
+    with pytest.raises(NonPositiveCoefficient):  # NaN is not positive
+        build_sl_generalized(unit_spec(p=Coefficient.constant(float("nan"))), GridSpec(4))
 
 
 # ------------------------------------------------------------- finite elements

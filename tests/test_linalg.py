@@ -67,14 +67,6 @@ def test_banded_matvec_matches_dense(rng):
     assert np.allclose(H.matvec(x), H.to_dense() @ x, atol=1e-14)
 
 
-def test_banded_dense_block_matches_dense(rng):
-    H = BandedHermitian(8, 2, (rng.uniform(-1, 1, 8),
-                               rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7),
-                               rng.uniform(-1, 1, 6)))
-    M = H.to_dense()
-    assert np.abs(H.dense_block(1, 5, 3, 8) - M[1:5, 3:8]).max() == 0.0
-
-
 def test_banded_immutable(rng):
     H = BandedHermitian(3, 0, (np.ones(3),))
     with pytest.raises(ValueError):

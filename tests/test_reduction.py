@@ -179,6 +179,17 @@ def test_blockwise_assembly_matches_dense_reference(route, sizes, k, rng):
     assert np.abs(got.hamiltonian.to_dense() - ref).max() <= 1e-11 * scale
 
 
+def band_block(A, r0, r1, c0, c1):
+    """Dense ``A[r0:r1, c0:c1]``, read entry by entry from the band storage."""
+    out = np.zeros((r1 - r0, c1 - c0), dtype=complex)
+    k = A.half_bandwidth
+    for i in range(r0, r1):
+        for j in range(max(c0, i - k), min(c1, i + k + 1)):
+            out[i - r0, j - c0] = (A.diagonals[j - i][i] if j >= i
+                                   else np.conjugate(A.diagonals[i - j][j]))
+    return out
+
+
 def blockwise_reduction_reference(A, B, route):
     """Bands of ``T A T^H`` by a loop over block pairs, ``T`` from per-block numpy.
 
@@ -199,7 +210,7 @@ def blockwise_reduction_reference(A, B, route):
             c0, c1 = starts[J], starts[J] + sizes[J]
             if c0 - (r1 - 1) > k:
                 break
-            M = T[I] @ A.dense_block(r0, r1, c0, c1) @ T[J].conj().T
+            M = T[I] @ band_block(A, r0, r1, c0, c1) @ T[J].conj().T
             for a in range(r1 - r0):
                 for b in range(c1 - c0):
                     if c0 + b >= r0 + a:
