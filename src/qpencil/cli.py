@@ -45,8 +45,9 @@ class RandomPencilParams:
     seed: int
 
     def __post_init__(self):
-        if self.k < 0 or self.m < 1 or self.size < 1:
-            raise ConfigInvalid("random pencil needs k >= 0, m >= 1, size >= 1")
+        if self.k < 0 or self.m < 1 or self.size < 1 or not 0 <= self.seed < 2 ** 64:
+            raise ConfigInvalid(
+                "random pencil needs k >= 0, m >= 1, size >= 1 and 0 <= seed < 2**64")
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,8 @@ def load_problem_spec(path: str, n_override: int | None = None):
         raise ParseError(
             f"invalid JSON in {path!r} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal beyond Python's digit limit
+        raise ParseError(f"cannot read problem file {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("problem document must be a JSON object")
 
@@ -503,11 +506,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        # Input errors exit 2 also when only assembly finds them (overflow).
+        code, text = run(config)
     except (ConfigInvalid, ParseError, NonPositiveCoefficient) as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    try:
-        code, text = run(config)
     except (QpencilError, ValueError) as exc:
         print(f"compute error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

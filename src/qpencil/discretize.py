@@ -136,13 +136,8 @@ def require_positive(values: np.ndarray, name: str, where: str) -> None:
             f"{name} must be positive {where}; minimum evaluated value {worst:g}")
 
 
-def build_sl_generalized(spec: SturmLiouvilleSpec, grid: GridSpec):
-    """Assemble the pencil (A, B) of the finite-difference discretization.
-
-    ``A`` is tridiagonal with diagonal
-    ``(p_{j-1/2} + p_{j+1/2} + q_j dx^2) / dx^2`` and off-diagonal
-    ``-p_{j+1/2} / dx^2``; ``B`` is the diagonal weight matrix ``diag(r_j)``.
-    """
+def _sl_bands(spec: SturmLiouvilleSpec, grid: GridSpec):
+    """Checked diagonal and off-diagonal of the stiffness matrix, and ``r_j``."""
     dx = grid.dx
     ph = spec.p(grid.half_nodes)
     require_positive(ph, "p", "at the half-grid points")
@@ -152,10 +147,23 @@ def build_sl_generalized(spec: SturmLiouvilleSpec, grid: GridSpec):
     inv_dx2 = 1.0 / (dx * dx)
     diag = (ph[:-1] + ph[1:] + qv * dx * dx) * inv_dx2
     off = -ph[1:-1] * inv_dx2
+    if not all(np.isfinite(a).all() for a in (diag, off, rv)):
+        raise NonPositiveCoefficient(
+            "coefficients overflow the discretization: an assembled entry is not finite")
+    return diag, off, rv
+
+
+def build_sl_generalized(spec: SturmLiouvilleSpec, grid: GridSpec):
+    """Assemble the pencil (A, B) of the finite-difference discretization.
+
+    ``A`` is tridiagonal with diagonal
+    ``(p_{j-1/2} + p_{j+1/2} + q_j dx^2) / dx^2`` and off-diagonal
+    ``-p_{j+1/2} / dx^2``; ``B`` is the diagonal weight matrix ``diag(r_j)``.
+    """
+    diag, off, rv = _sl_bands(spec, grid)
     A = BandedHermitian(grid.n, min(1, grid.n - 1),
                         (diag,) if grid.n == 1 else (diag, off))
-    B = BlockDiagonalPD.from_diagonal(rv)
-    return A, B
+    return A, BlockDiagonalPD.from_diagonal(rv)
 
 
 def build_sl_reduced(spec: SturmLiouvilleSpec, grid: GridSpec) -> BandedHermitian:
@@ -166,19 +174,11 @@ def build_sl_reduced(spec: SturmLiouvilleSpec, grid: GridSpec) -> BandedHermitia
     the diagonal is divided by ``r_j`` and the off-diagonal by
     ``sqrt(r_j r_{j+1})``.
     """
-    dx = grid.dx
-    ph = spec.p(grid.half_nodes)
-    require_positive(ph, "p", "at the half-grid points")
-    qv = spec.q(grid.nodes)
-    rv = spec.r(grid.nodes)
-    require_positive(rv, "r", "at the grid points")
-    inv_dx2 = 1.0 / (dx * dx)
-    rs = np.sqrt(rv)
-    diag = (ph[:-1] + ph[1:] + qv * dx * dx) * inv_dx2 / rv
+    diag, off, rv = _sl_bands(spec, grid)
     if grid.n == 1:
-        return BandedHermitian(1, 0, (diag,))
-    off = -ph[1:-1] * inv_dx2 / (rs[:-1] * rs[1:])
-    return BandedHermitian(grid.n, 1, (diag, off))
+        return BandedHermitian(1, 0, (diag / rv,))
+    rs = np.sqrt(rv)
+    return BandedHermitian(grid.n, 1, (diag / rv, off / (rs[:-1] * rs[1:])))
 
 
 def _interval_integral(f, xa: float, xb: float, cubic_exact: bool) -> float:

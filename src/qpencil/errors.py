@@ -22,7 +22,7 @@ class RegimeViolation(QpencilError):
 
 
 class NonPositiveCoefficient(QpencilError):
-    """A coefficient function required to be positive is not at some point."""
+    """A coefficient is not positive at some point, or overflows once discretized."""
 
 
 class DegenerateRange(QpencilError):

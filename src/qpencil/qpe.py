@@ -11,8 +11,9 @@ Conventions (fixed here, once, for the whole package):
 * Qubit ordering.  The ancilla register is most significant; ancilla bit
   ``j`` controls the ``2**j``-th power of the unit evolution, so the branch
   with ancilla integer ``a`` carries ``a`` repetitions of it.  Controlled
-  powers are realized by multiplying eigenphases (exact path) or by
-  repeating Trotter cycles (trotter path), never by squaring matrices.
+  powers are realized by multiplying eigenphases: those of ``H`` (exact
+  path) or those of one unitary Trotter cycle times the cycles per power
+  (trotter path); no matrix is squared and no cycle repeated.
 * Padding.  When the physical dimension is not a power of two, the
   Hamiltonian is embedded in the next power of two with decoupled padding
   rows whose mapped phase sits at ``1 - guard/2``, above every physical
@@ -24,12 +25,13 @@ Conventions (fixed here, once, for the whole package):
       F_M(d) = sin(pi M d)**2 / (M sin(pi d))**2 = (sinc(M d) / sinc(d))**2,
 
   with ``M = 2**t``, eigenphases ``phi_j`` and trial-state overlaps ``c_j``
-  on the matching eigenvectors.  Trotter evolution has no eigenbasis of its
-  own, so it is simulated as a statevector and read out by an inverse
-  Fourier transform on the ancilla axis.
-* Eigensolver.  Every dense decomposition here goes through one LAPACK
-  seam, ``_eigh``; the Jacobi solver in ``qpencil.jacobi`` stays an
-  independent oracle that this module never calls.
+  on the matching eigenvectors.  Trotter evolution uses the same formula
+  with the eigenphases ``s theta_j / 2 pi`` and eigenvectors of its unit
+  cycle ``C`` (``s`` cycles per power, ``C u_j = exp(i theta_j) u_j``).
+* Eigensolver.  Every dense decomposition here is LAPACK: ``_eigh`` for
+  Hermitian matrices and ``_unitary_eig`` for the Trotter cycle; the Jacobi
+  solver in ``qpencil.jacobi`` stays an independent oracle that this module
+  never calls.
 * Randomness.  Measurement sampling uses a PCG64 generator seeded
   explicitly and draws outcomes by inverse transform over the exact
   distribution, so a seed pins the full sample sequence.
@@ -58,8 +60,8 @@ DEFAULT_GUARD = 0.125
 MAX_QUBITS = 24
 
 _NORM_ATOL = 1e-10
-# Largest eigenphase-by-outcome kernel block the exact readout evaluates at once.
-_READOUT_BLOCK = 2 ** 20
+# Largest eigenphase-by-outcome kernel block the readout evaluates at once.
+_READOUT_BLOCK = 2 ** 18
 # Inflation applied to a spectral enclosure so that a tight upper bound
 # still maps strictly inside the guarded interval.
 _RANGE_PAD = 1.0 / 64.0
@@ -223,30 +225,36 @@ def split_tridiagonal(H: BandedHermitian):
     return H1, H2
 
 
-class _TrotterCycle:
-    """One first-order cycle ``exp(-i H1 dt) exp(-i H2 dt)`` applied exactly.
+def _trotter_cycle(H1: BandedHermitian, H2: BandedHermitian, dt: float) -> np.ndarray:
+    """Dense first-order cycle ``exp(-i H1 dt) exp(-i H2 dt)``.
 
-    The diagonal factor is a phase mask; the hopping factor is applied
-    through a cached eigendecomposition, so each factor is unitary to
-    machine precision and all error comes from the splitting itself.
+    The diagonal factor is a phase mask and the hopping factor comes from
+    one LAPACK decomposition, so the cycle is unitary to machine precision
+    and all error comes from the splitting itself.
     """
+    if H1.half_bandwidth != 0:
+        raise BandwidthTooLarge("the first Trotter factor must be diagonal")
+    if H2.half_bandwidth > 1:
+        raise BandwidthTooLarge("the second Trotter factor must be tridiagonal")
+    if H1.size != H2.size:
+        raise DimensionMismatch(f"factor sizes {H1.size} and {H2.size} differ")
+    w2, V2 = _eigh(H2)
+    hop = (V2 * np.exp(-1j * w2 * dt)) @ V2.conj().T
+    return np.exp(-1j * H1.diagonals[0].real * dt)[:, None] * hop
 
-    def __init__(self, H1: BandedHermitian, H2: BandedHermitian, dt: float):
-        if H1.half_bandwidth != 0:
-            raise BandwidthTooLarge("the first Trotter factor must be diagonal")
-        if H2.half_bandwidth > 1:
-            raise BandwidthTooLarge("the second Trotter factor must be tridiagonal")
-        if H1.size != H2.size:
-            raise DimensionMismatch(
-                f"factor sizes {H1.size} and {H2.size} differ")
-        self.phase1 = np.exp(-1j * H1.diagonals[0].real * dt)
-        w2, V2 = _eigh(H2)
-        self.V2 = V2
-        self.phase2 = np.exp(-1j * w2 * dt)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = self.V2 @ (self.phase2 * (self.V2.conj().T @ vec))
-        return self.phase1 * vec
+def _unitary_eig(C: np.ndarray):
+    """Eigenphases ``theta`` and an orthonormal eigenbasis ``U`` of a unitary ``C``.
+
+    The eigenvectors ``X`` from ``np.linalg.eig`` are replaced by their
+    polar factor ``X (X^H X)^{-1/2}`` (Higham, SIAM J. Sci. Stat. Comput. 7,
+    1986), taken from one ``eigh`` of the Gram matrix, and the phases are
+    the Rayleigh quotients ``arg(u^H C u)``.
+    """
+    X = np.linalg.eig(C)[1]
+    g, W = np.linalg.eigh(X.conj().T @ X)
+    U = X @ ((W / np.sqrt(g)) @ W.conj().T)
+    return np.angle(np.einsum("ij,ij->j", U.conj(), C @ U)), U
 
 
 def evolve_trotter(H1: BandedHermitian, H2: BandedHermitian, time: float,
@@ -255,10 +263,10 @@ def evolve_trotter(H1: BandedHermitian, H2: BandedHermitian, time: float,
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     _check_system(H1, psi)
-    cycle = _TrotterCycle(H1, H2, time / steps)
-    amps = psi.amplitudes.copy()
+    C = _trotter_cycle(H1, H2, time / steps)
+    amps = psi.amplitudes
     for _ in range(steps):
-        amps = cycle.apply(amps)
+        amps = C @ amps
     return Statevector(psi.n_qubits, amps)
 
 
@@ -293,7 +301,7 @@ def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
 
 
 def _fejer_readout(phases: np.ndarray, weights: np.ndarray, t_bits: int) -> np.ndarray:
-    """Exact-evolution outcome distribution ``sum_j w_j F_M(phi_j - y/M)``.
+    """Outcome distribution ``sum_j w_j F_M(phi_j - y/M)`` for eigenphases ``phi_j``.
 
     The eigenphase-by-outcome kernel is evaluated in blocks of at most
     ``_READOUT_BLOCK`` entries.
@@ -320,9 +328,11 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
     are the mapped phases of ``H``), the inverse Fourier transform acts on
     the ancilla, and the system register is traced out.  Exact evolution
     reads the distribution off the closed form in the module docstring,
-    from one decomposition of the embedded, phase-mapped ``H``; no joint
-    ancilla-by-system state is formed.  Trotter evolution builds that joint
-    state cycle by cycle and Fourier-transforms its ancilla axis.
+    from one decomposition of the embedded, phase-mapped ``H``.  Trotter
+    evolution reads it off one decomposition of the physical block's
+    Trotter cycle, whose eigenphases times ``trotter_steps`` are the
+    phases; the decoupled padding rows keep their own.  No joint
+    ancilla-by-system state is formed.
 
     Parameters
     ----------
@@ -369,26 +379,17 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
             phases, weights = phases[:1], np.ones(1)
         else:
             weights = np.abs(V.conj().T @ state) ** 2
-        return QpeResult(t_bits, _fejer_readout(phases, weights, t_bits), shift_scale)
-
-    # exp(+2 pi i H_phase) realized as s Trotter cycles of time -2 pi / s
-    M = 2 ** t_bits
-    h1, h2 = split_tridiagonal(H_phase)
-    cycle = _TrotterCycle(h1, h2, -2.0 * np.pi / trotter_steps)
-    joint = np.empty((M, 2 ** n_sys), dtype=np.complex128)
-    cur = state
-    for a in range(M):
-        joint[a] = cur
-        if a + 1 < M:
-            for _ in range(trotter_steps):
-                cur = cycle.apply(cur)
-    joint /= math.sqrt(M)
-
-    # Inverse Fourier transform on the ancilla axis:
-    # |a> -> M^{-1/2} sum_y exp(-2 pi i a y / M) |y>.
-    transformed = np.fft.fft(joint, axis=0) / math.sqrt(M)
-    distribution = (np.abs(transformed) ** 2).sum(axis=1)
-    return QpeResult(t_bits, distribution, shift_scale)
+    else:
+        # exp(+2 pi i H_phase) as s cycles of time -2 pi / s; the decoupled
+        # padding rows are left out of the decomposition and keep their phase.
+        n = H.size
+        h1, h2 = split_tridiagonal(shift_scale.map_matrix(H))
+        theta, U = _unitary_eig(_trotter_cycle(h1, h2, -2.0 * np.pi / trotter_steps))
+        phases = np.concatenate([trotter_steps * theta / (2.0 * np.pi) % 1.0,
+                                 H_phase.diagonals[0].real[n:]])
+        weights = np.concatenate([np.abs(U.conj().T @ state[:n]) ** 2,
+                                  np.abs(state[n:]) ** 2])
+    return QpeResult(t_bits, _fejer_readout(phases, weights, t_bits), shift_scale)
 
 
 def sample_outcomes(result: QpeResult, shots: int, seed: int) -> np.ndarray:

@@ -75,3 +75,30 @@ def qpe_statevector(phase_matrix, state, t_bits):
     joint = (kick * (V.conj().T @ state)) @ V.T / np.sqrt(M)
     amps = np.fft.fft(joint, axis=0) / np.sqrt(M)
     return (np.abs(amps) ** 2).sum(axis=1)
+
+
+def qpe_trotter_statevector(phase_matrix, state, t_bits, steps):
+    """Trotter phase-estimation distribution by statevector simulation plus an FFT.
+
+    ``phase_matrix`` is a dense tridiagonal Hermitian matrix.  One cycle is
+    ``exp(2 pi i D / steps) exp(2 pi i K / steps)`` for its diagonal part
+    ``D`` and hopping part ``K`` (the hopping factor from a numpy.linalg
+    diagonalization).  The unit power is ``steps`` repeated cycles, branch
+    ``a`` of the joint state holds ``a`` unit powers applied to ``state``,
+    the inverse Fourier transform acts on the ancilla axis, and the system
+    register is traced out.
+    """
+    diag = np.diag(phase_matrix).real
+    w, V = np.linalg.eigh(phase_matrix - np.diag(diag))
+    cycle = np.exp(2j * np.pi * diag / steps)[:, None] * (
+        (V * np.exp(2j * np.pi * w / steps)) @ V.conj().T)
+    power = np.eye(len(diag), dtype=complex)
+    for _ in range(steps):
+        power = cycle @ power
+    M = 2 ** t_bits
+    joint = np.empty((M, len(diag)), dtype=complex)
+    joint[0] = state
+    for a in range(1, M):
+        joint[a] = power @ joint[a - 1]
+    amps = np.fft.fft(joint, axis=0) / M
+    return (np.abs(amps) ** 2).sum(axis=1)

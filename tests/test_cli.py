@@ -102,6 +102,35 @@ def test_ill_typed_field_exits_2(doc, tmp_path, capsys):
     assert code == 2 and "ParseError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fields", [
+    '"p":{"poly":[1e308,1e308]},"q":{"constant":0},"r":{"constant":1}',
+    '"p":{"constant":1},"q":{"constant":0},"r":{"poly":[1e308,1e308]}',
+], ids=["p-overflows", "r-overflows"])
+def test_overflowing_coefficient_exits_2(fields, tmp_path, capsys):
+    path = write_problem(tmp_path, "{" + fields + ',"n":4}')
+    for command in ("spectrum", "reduce", "qpe"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, command, "--problem", path)
+        assert (code, out) == (2, "")
+        assert "NonPositiveCoefficient" in err and "overflow" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_random_pencil_file_seed_out_of_range_exits_2(seed, tmp_path, capsys):
+    path = write_problem(tmp_path, json.dumps({"k": 1, "m": 2, "size": 8, "seed": seed}))
+    code, out, err = run_cli(capsys, "spectrum", "--problem", path)
+    assert (code, out) == (2, "")
+    assert "ConfigInvalid" in err and "Traceback" not in err
+
+
+def test_oversized_integer_literal_is_a_parse_error(tmp_path, capsys):
+    path = write_problem(tmp_path, '{"n": ' + "9" * 5000 + "}")
+    with pytest.raises(ParseError):
+        load_problem_spec(path)
+    code, out, err = run_cli(capsys, "spectrum", "--problem", path)
+    assert (code, out) == (2, "") and "ParseError" in err
+
+
 # ------------------------------------------------------------------- commands
 
 

@@ -148,6 +148,17 @@ def test_nonpositive_coefficients_rejected():
         build_sl_generalized(unit_spec(p=Coefficient.constant(float("nan"))), GridSpec(4))
 
 
+@pytest.mark.parametrize("field", ["p", "q", "r"])
+def test_overflowing_coefficients_rejected(field):
+    # Finite polynomial coefficients; at the grid point 0.8 (or in the sum of
+    # two p values) the evaluation overflows to inf.
+    spec = unit_spec(**{field: Coefficient.polynomial([1e308, 1e308])})
+    for build in (build_sl_generalized, build_sl_reduced):
+        with pytest.raises(NonPositiveCoefficient, match="overflow"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            build(spec, GridSpec(4))
+
+
 # ------------------------------------------------------------- finite elements
 
 

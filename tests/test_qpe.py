@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpencil.analysis import random_banded_hermitian
-from qpencil.discretize import Coefficient, GridSpec, SturmLiouvilleSpec, build_sl_reduced
+from qpencil import qpe
+from qpencil.discretize import (
+    Coefficient,
+    GridSpec,
+    SturmLiouvilleSpec,
+    build_sl_generalized,
+    build_sl_reduced,
+)
 from qpencil.errors import (
     BandwidthTooLarge,
     DimensionMismatch,
@@ -18,6 +25,8 @@ from qpencil.qpe import (
     ShiftScale,
     Statevector,
     _eigh,
+    _trotter_cycle,
+    _unitary_eig,
     evolve_exact,
     evolve_trotter,
     gershgorin_shift_scale,
@@ -27,8 +36,9 @@ from qpencil.qpe import (
     sample_outcomes,
     split_tridiagonal,
 )
+from qpencil.reduction import reduce_sqrt
 
-from conftest import qpe_kernel, qpe_statevector, random_hermitian
+from conftest import qpe_kernel, qpe_statevector, qpe_trotter_statevector, random_hermitian
 
 
 def diag_h(values):
@@ -350,14 +360,108 @@ def test_qpe_ground_trial_is_lowest_eigenvector():
 
 
 def test_qpe_trotter_long_chain_stays_normalized():
-    # 7 system + 12 ancilla qubits with 8 cycles per power: 32,760 cycles.
-    # Trotter unitarity is not enforced yet; this pins the drift below the
-    # 1e-10 normalization check at the longest chain currently in budget.
+    # 7 system + 12 ancilla qubits with 8 cycles per power.  The readout
+    # uses an orthonormal eigenbasis of one unitary cycle, so no drift
+    # accumulates over the 32,760 cycles of the chain.
     H = sl_hamiltonian(127)
     _, V = np.linalg.eigh(H.to_dense())
     res = run_qpe(H, V[:, 0], 12, gershgorin_shift_scale(H),
                   evolution="trotter", trotter_steps=8)
     assert abs(res.distribution.sum() - 1.0) <= 1e-10
+
+
+def chained_blocks(block: BandedHermitian, copies: int) -> BandedHermitian:
+    """``copies`` decoupled copies of a tridiagonal block: every level repeats."""
+    hop = np.concatenate([block.diagonals[1], [0.0]])
+    return BandedHermitian(block.size * copies, 1,
+                           (np.tile(block.diagonals[0], copies),
+                            np.tile(hop, copies)[:-1]))
+
+
+def trotter_case(kind, n, rng):
+    if kind == "sl":
+        return sl_hamiltonian(n, (1.0, 2.0, 0.5))
+    if kind == "random":
+        return random_banded_hermitian(n, 1, rng)
+    if kind == "twin":
+        return chained_blocks(random_banded_hermitian(n // 2, 1, rng), 2)
+    # repeated diagonal: ten levels, each several times, no hopping
+    return BandedHermitian(n, 1, (np.repeat(rng.uniform(-1.0, 1.0, 10), n // 10),
+                                  np.zeros(n - 1)))
+
+
+@pytest.mark.parametrize("kind,n,t_bits,steps,trial", [
+    ("random", 5, 8, 1, "raw"),
+    ("sl", 5, 12, 16, "padded"),
+    ("sl", 31, 12, 16, "ground"),
+    ("random", 33, 10, 4, "padded"),
+    ("random", 63, 8, 16, "raw"),
+    ("sl", 65, 12, 1, "ground"),
+    ("random", 127, 10, 4, "raw"),
+    ("sl", 129, 10, 16, "padded"),
+    ("random", 255, 10, 4, "ground"),
+    ("sl", 255, 8, 16, "padded"),
+    ("twin", 60, 10, 4, "padded"),
+    ("twin", 128, 8, 16, "raw"),
+    ("repeated", 50, 10, 1, "padded"),
+    ("repeated", 120, 8, 16, "raw"),
+])
+def test_qpe_trotter_matches_statevector_simulation(kind, n, t_bits, steps, trial, rng):
+    H = trotter_case(kind, n, rng)
+    ss = gershgorin_shift_scale(H)
+    dim = 2 ** max(1, (n - 1).bit_length())
+    phase_matrix = np.diag(np.full(dim, 1.0 - ss.guard / 2.0)).astype(complex)
+    phase_matrix[:n, :n] = ss.scale * (H.to_dense() - ss.shift * np.eye(n))
+    if trial == "ground":
+        psi0 = "ground"
+        state = np.linalg.eigh(phase_matrix)[1][:, 0]
+    else:
+        size = n if trial == "raw" else dim
+        psi0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        state = np.zeros(dim, dtype=complex)
+        state[:size] = psi0 / np.linalg.norm(psi0)
+    res = run_qpe(H, psi0, t_bits, ss, evolution="trotter", trotter_steps=steps)
+    reference = qpe_trotter_statevector(phase_matrix, state, t_bits, steps)
+    assert np.abs(res.distribution - reference).max() <= 1e-10
+    assert abs(res.distribution.sum() - 1.0) <= 1e-13
+
+
+def test_qpe_trotter_stays_normalized_at_benchmark_seed_1409():
+    # The op that raised "probabilities must sum to 1" when the readout
+    # repeated 65,520 cycles on a statevector: n = 31, t = 12, 16 steps.
+    coeffs = {"p": [1.7051991366948624, 0.1382738269688537, 0.9918391215084956],
+              "q": [1.5205376203333063, 0.3082506760205401],
+              "r": [1.6494679681069848, 0.621501283979714, 0.9372018222477946]}
+    spec = SturmLiouvilleSpec(*(Coefficient.polynomial(coeffs[k]) for k in "pqr"))
+    H = reduce_sqrt(*build_sl_generalized(spec, GridSpec(31))).hamiltonian
+    ground = np.linalg.eigh(H.to_dense())[1][:, 0]
+    res = run_qpe(H, ground, 12, gershgorin_shift_scale(H),
+                  evolution="trotter", trotter_steps=16)
+    assert abs(res.distribution.sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 127, 255])
+def test_unitary_eig_basis_is_orthonormal(n):
+    H = sl_hamiltonian(n)
+    ss = gershgorin_shift_scale(H)
+    h1, h2 = split_tridiagonal(ss.map_matrix(H))
+    for steps in (1, 16):
+        C = _trotter_cycle(h1, h2, -2.0 * np.pi / steps)
+        theta, U = _unitary_eig(C)
+        assert np.abs(U.conj().T @ U - np.eye(n)).max() <= 1e-13
+        assert np.abs(C @ U - U * np.exp(1j * theta)).max() <= 1e-12
+
+
+def test_qpe_trotter_decomposes_one_cycle(monkeypatch):
+    assert not hasattr(qpe, "_TrotterCycle")
+    calls = []
+    for name in ("_trotter_cycle", "_unitary_eig"):
+        real = getattr(qpe, name)
+        monkeypatch.setattr(qpe, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    H = sl_hamiltonian(13)
+    run_qpe(H, np.ones(13), 9, gershgorin_shift_scale(H),
+            evolution="trotter", trotter_steps=16)
+    assert sorted(calls) == ["_trotter_cycle", "_unitary_eig"]
 
 
 def test_qpe_rejects_oversized_registers():
