@@ -98,10 +98,14 @@ class BandedHermitian:
                         f"entries found outside requested half-bandwidth {k}")
         return cls(n, k, tuple(np.diagonal(M, d).copy() for d in range(k + 1)))
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self, dtype=np.complex128) -> np.ndarray:
+        """Dense copy; a real ``dtype`` keeps only the real parts of the bands."""
         n = self.size
-        M = np.zeros((n, n), dtype=np.complex128)
+        M = np.zeros((n, n), dtype=dtype)
+        real = M.dtype.kind == "f"
         for d, band in enumerate(self.diagonals):
+            if real:
+                band = band.real
             idx = np.arange(n - d)
             M[idx, idx + d] = band
             if d > 0:

@@ -22,16 +22,22 @@ Conventions (fixed here, once, for the whole package):
   form (Cleve, Ekert, Macchiavello & Mosca, quant-ph/9708016)
 
       P(y) = sum_j |c_j|**2 F_M(phi_j - y/M),
-      F_M(d) = sin(pi M d)**2 / (M sin(pi d))**2 = (sinc(M d) / sinc(d))**2,
+      F_M(d) = sin(pi M d)**2 / (M sin(pi d))**2,
 
   with ``M = 2**t``, eigenphases ``phi_j`` and trial-state overlaps ``c_j``
-  on the matching eigenvectors.  Trotter evolution uses the same formula
-  with the eigenphases ``s theta_j / 2 pi`` and eigenvectors of its unit
-  cycle ``C`` (``s`` cycles per power, ``C u_j = exp(i theta_j) u_j``).
-* Eigensolver.  Every dense decomposition here is LAPACK: ``_eigh`` for
-  Hermitian matrices and ``_unitary_eig`` for the Trotter cycle; the Jacobi
-  solver in ``qpencil.jacobi`` stays an independent oracle that this module
-  never calls.
+  on the matching eigenvectors.  The numerator depends only on ``phi_j``
+  (``sin(pi M d)**2 = sin(pi (M phi_j - rint(M phi_j)))**2``, exact for a
+  power of two), so each kernel entry costs one sine of the wrapped ``d``.
+  Trotter evolution uses the same formula with the eigenphases
+  ``s theta_j / 2 pi`` and eigenvectors of its unit cycle ``C`` (``s``
+  cycles per power, ``C u_j = exp(i theta_j) u_j``).
+* Eigensolver.  Every dense eigendecomposition here is LAPACK ``eigh``:
+  ``_eigh`` (real arithmetic when every band is real), and for the Trotter
+  cycle ``_trotter_eig``, which needs only real symmetric ones (of the
+  gauge-fixed hopping factor and of the cycle's Cayley transform, formed by
+  one real solve); no general ``eig`` is used.  The Jacobi solver in
+  ``qpencil.jacobi`` stays an independent oracle that this module never
+  calls.
 * Randomness.  Measurement sampling uses a PCG64 generator seeded
   explicitly and draws outcomes by inverse transform over the exact
   distribution, so a seed pins the full sample sequence.
@@ -188,8 +194,13 @@ def gershgorin_shift_scale(H: BandedHermitian,
 
 
 def _eigh(H: BandedHermitian):
-    """Dense LAPACK eigendecomposition: ascending ``w`` and unitary ``V``."""
-    return np.linalg.eigh(H.to_dense())
+    """Dense LAPACK eigendecomposition: ascending ``w`` and unitary ``V``.
+
+    When every band is real the dense copy is real, so the decomposition
+    runs in real arithmetic and ``V`` is real orthogonal.
+    """
+    real = not any(band.imag.any() for band in H.diagonals)
+    return np.linalg.eigh(H.to_dense(np.float64 if real else np.complex128))
 
 
 def _check_system(H: BandedHermitian, psi: Statevector) -> None:
@@ -225,12 +236,15 @@ def split_tridiagonal(H: BandedHermitian):
     return H1, H2
 
 
-def _trotter_cycle(H1: BandedHermitian, H2: BandedHermitian, dt: float) -> np.ndarray:
-    """Dense first-order cycle ``exp(-i H1 dt) exp(-i H2 dt)``.
+def _hopping_factor(H1: BandedHermitian, H2: BandedHermitian, dt: float):
+    """Real-basis factors ``(g, d, E)`` of the cycle ``exp(-i H1 dt) exp(-i H2 dt)``.
 
-    The diagonal factor is a phase mask and the hopping factor comes from
-    one LAPACK decomposition, so the cycle is unitary to machine precision
-    and all error comes from the splitting itself.
+    The diagonal gauge ``g`` (``g_0 = 1``, ``g_{k+1} = g_k conj(b_k)/|b_k|``
+    for the hopping band ``b``, factor 1 where ``b_k = 0``) makes
+    ``G^H H2 G`` real symmetric with hopping ``|b|``, so one real ``eigh``
+    gives the complex symmetric ``E = exp(-i G^H H2 G dt)``.  With the
+    half-step phases ``d = exp(-i H1 dt / 2)`` the cycle is
+    ``G D S D^* G^H`` for the complex symmetric unitary ``S = D E D``.
     """
     if H1.half_bandwidth != 0:
         raise BandwidthTooLarge("the first Trotter factor must be diagonal")
@@ -238,23 +252,55 @@ def _trotter_cycle(H1: BandedHermitian, H2: BandedHermitian, dt: float) -> np.nd
         raise BandwidthTooLarge("the second Trotter factor must be tridiagonal")
     if H1.size != H2.size:
         raise DimensionMismatch(f"factor sizes {H1.size} and {H2.size} differ")
-    w2, V2 = _eigh(H2)
-    hop = (V2 * np.exp(-1j * w2 * dt)) @ V2.conj().T
-    return np.exp(-1j * H1.diagonals[0].real * dt)[:, None] * hop
+    hop = H2.diagonals[1:]
+    mags = tuple(np.abs(b) for b in hop)
+    g = np.ones(H2.size, dtype=np.complex128)
+    if hop:
+        g[1:] = np.cumprod(np.divide(hop[0].conj(), mags[0], out=np.ones_like(hop[0]),
+                                     where=mags[0] > 0.0))
+        g /= np.abs(g)  # keeps the gauge unitary however long the chain
+    w2, V2 = _eigh(BandedHermitian(H2.size, H2.half_bandwidth, H2.diagonals[:1] + mags))
+    E = (V2 * np.cos(w2 * dt)) @ V2.T - 1j * ((V2 * np.sin(w2 * dt)) @ V2.T)
+    return g, np.exp(-0.5j * dt * H1.diagonals[0].real), E
 
 
-def _unitary_eig(C: np.ndarray):
-    """Eigenphases ``theta`` and an orthonormal eigenbasis ``U`` of a unitary ``C``.
+def _trotter_cycle(H1: BandedHermitian, H2: BandedHermitian, dt: float) -> np.ndarray:
+    """Dense first-order cycle ``exp(-i H1 dt) exp(-i H2 dt)``.
 
-    The eigenvectors ``X`` from ``np.linalg.eig`` are replaced by their
-    polar factor ``X (X^H X)^{-1/2}`` (Higham, SIAM J. Sci. Stat. Comput. 7,
-    1986), taken from one ``eigh`` of the Gram matrix, and the phases are
-    the Rayleigh quotients ``arg(u^H C u)``.
+    Built as ``G D^2 E G^H`` from :func:`_hopping_factor`: phase masks around
+    one real LAPACK decomposition, so the cycle is unitary to machine
+    precision and all error comes from the splitting itself.
     """
-    X = np.linalg.eig(C)[1]
-    g, W = np.linalg.eigh(X.conj().T @ X)
-    U = X @ ((W / np.sqrt(g)) @ W.conj().T)
-    return np.angle(np.einsum("ij,ij->j", U.conj(), C @ U)), U
+    g, d, E = _hopping_factor(H1, H2, dt)
+    return (g * d * d)[:, None] * E * g.conj()
+
+
+def _trotter_eig(H1: BandedHermitian, H2: BandedHermitian, dt: float):
+    """Eigenphases ``theta`` and an orthonormal eigenbasis ``U`` of the Trotter cycle.
+
+    The unitary ``S = D E D`` of :func:`_hopping_factor` is complex
+    symmetric, so ``S = Q exp(i Theta) Q^T`` with a real orthogonal ``Q``.
+    The cosines ``eigvalsh(Re S)`` place every eigenphase among the angles
+    ``+-arccos``; the pole ``gamma + pi`` is the midpoint of their widest
+    gap, which holds no eigenphase.  The Cayley transform of
+    ``R = exp(-i gamma) S``, ``K = (I + Re R)^{-1} Im R = tan((Theta - gamma)/2)``
+    in the basis ``Q`` (``I + Re R`` is positive definite, since no phase
+    sits at the pole), is real symmetric and monotone in the phase, so
+    one real ``eigh`` of ``K`` gives ``Q`` and
+    ``theta = gamma + 2 arctan(kappa)``.  ``U = G D Q`` is unitary by
+    construction and ``C U = U exp(i theta)``.
+    """
+    g, d, E = _hopping_factor(H1, H2, dt)
+    S = np.outer(d, d) * E
+    arcs = np.arccos(np.clip(np.linalg.eigvalsh(S.real), -1.0, 1.0))
+    angles = np.sort(np.concatenate([-arcs, arcs]))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    gamma = angles[widest] + 0.5 * gaps[widest] - np.pi
+    R = np.exp(-1j * gamma) * S
+    K = np.linalg.solve(np.eye(d.size) + R.real, R.imag)
+    kappa, Q = np.linalg.eigh(0.5 * (K + K.T))
+    return gamma + 2.0 * np.arctan(kappa), (g * d)[:, None] * Q
 
 
 def evolve_trotter(H1: BandedHermitian, H2: BandedHermitian, time: float,
@@ -303,19 +349,35 @@ def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
 def _fejer_readout(phases: np.ndarray, weights: np.ndarray, t_bits: int) -> np.ndarray:
     """Outcome distribution ``sum_j w_j F_M(phi_j - y/M)`` for eigenphases ``phi_j``.
 
+    For ``M = 2**t`` the offset ``r_j = M phi_j - rint(M phi_j)`` is exact
+    and ``sin(pi M delta)**2 = sin(pi r_j)**2`` for every outcome, so the
+    numerator is one sine per eigenphase and each kernel entry costs one
+    ``sin(pi delta)``.  ``F_M = 1`` where ``delta = 0``, which happens only
+    for an eigenphase on the outcome grid (``r_j = 0``) at its own outcome.
     The eigenphase-by-outcome kernel is evaluated in blocks of at most
     ``_READOUT_BLOCK`` entries.
     """
     M = 2 ** t_bits
+    scaled = M * phases
+    offsets = scaled - np.rint(scaled)
+    numerators = np.sin(np.pi * offsets) / M
     outcome_phases = np.arange(M) / M
     rows = max(1, _READOUT_BLOCK // M)
     distribution = np.zeros(M)
     for start in range(0, phases.size, rows):
         j = slice(start, start + rows)
-        delta = phases[j, None] - outcome_phases
-        # F_M has period 1; wrapping to |delta| <= 1/2 keeps sinc(delta) >= 2/pi.
-        delta -= np.round(delta)
-        distribution += weights[j] @ (np.sinc(M * delta) / np.sinc(delta)) ** 2
+        kernel = phases[j, None] - outcome_phases
+        # F_M has period 1; the wrapped delta, |delta| <= 1/2, is one correctly
+        # rounded subtraction, so sin(pi delta) keeps relative accuracy.
+        kernel -= np.rint(kernel)
+        kernel *= np.pi
+        np.sin(kernel, out=kernel)
+        with np.errstate(invalid="ignore"):  # 0/0 where delta = 0
+            np.divide(numerators[j, None], kernel, out=kernel)
+        kernel *= kernel
+        on_grid = np.flatnonzero(offsets[j] == 0.0)
+        kernel[on_grid, np.rint(scaled[j][on_grid]).astype(np.int64) % M] = 1.0
+        distribution += weights[j] @ kernel
     return distribution
 
 
@@ -331,8 +393,10 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
     from one decomposition of the embedded, phase-mapped ``H``.  Trotter
     evolution reads it off one decomposition of the physical block's
     Trotter cycle, whose eigenphases times ``trotter_steps`` are the
-    phases; the decoupled padding rows keep their own.  No joint
-    ancilla-by-system state is formed.
+    phases; the decoupled padding rows keep their own.  That decomposition
+    (``_trotter_eig``) runs in real symmetric arithmetic and gives an
+    eigenbasis unitary by construction.  No joint ancilla-by-system state is
+    formed.
 
     Parameters
     ----------
@@ -384,7 +448,7 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
         # padding rows are left out of the decomposition and keep their phase.
         n = H.size
         h1, h2 = split_tridiagonal(shift_scale.map_matrix(H))
-        theta, U = _unitary_eig(_trotter_cycle(h1, h2, -2.0 * np.pi / trotter_steps))
+        theta, U = _trotter_eig(h1, h2, -2.0 * np.pi / trotter_steps)
         phases = np.concatenate([trotter_steps * theta / (2.0 * np.pi) % 1.0,
                                  H_phase.diagonals[0].real[n:]])
         weights = np.concatenate([np.abs(U.conj().T @ state[:n]) ** 2,

@@ -60,6 +60,22 @@ def qpe_kernel(phi, t_bits):
     return out
 
 
+def fejer_readout_two_sinc(phases, weights, t_bits, block=2 ** 18):
+    """Fejér readout ``sum_j w_j (sinc(M d) / sinc(d))**2`` with the wrapped
+    differences ``d = phi_j - y/M``, evaluated in row blocks of ``block``
+    kernel entries: two sinc calls per entry."""
+    M = 2 ** t_bits
+    outcome_phases = np.arange(M) / M
+    rows = max(1, block // M)
+    distribution = np.zeros(M)
+    for start in range(0, phases.size, rows):
+        j = slice(start, start + rows)
+        delta = phases[j, None] - outcome_phases
+        delta -= np.round(delta)
+        distribution += weights[j] @ (np.sinc(M * delta) / np.sinc(delta)) ** 2
+    return distribution
+
+
 def qpe_statevector(phase_matrix, state, t_bits):
     """Phase-estimation distribution by statevector simulation plus an FFT.
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpencil import analysis
 from qpencil.analysis import random_banded_hermitian
 from qpencil import qpe
 from qpencil.discretize import (
@@ -25,8 +26,9 @@ from qpencil.qpe import (
     ShiftScale,
     Statevector,
     _eigh,
+    _fejer_readout,
     _trotter_cycle,
-    _unitary_eig,
+    _trotter_eig,
     evolve_exact,
     evolve_trotter,
     gershgorin_shift_scale,
@@ -38,7 +40,13 @@ from qpencil.qpe import (
 )
 from qpencil.reduction import reduce_sqrt
 
-from conftest import qpe_kernel, qpe_statevector, qpe_trotter_statevector, random_hermitian
+from conftest import (
+    fejer_readout_two_sinc,
+    qpe_kernel,
+    qpe_statevector,
+    qpe_trotter_statevector,
+    random_hermitian,
+)
 
 
 def diag_h(values):
@@ -256,6 +264,10 @@ def test_trotter_validates_arguments(rng):
         evolve_trotter(H1, H2, 1.0, 0, psi)
     with pytest.raises(BandwidthTooLarge):
         evolve_trotter(sl_hamiltonian(8), H2, 1.0, 2, psi)
+    with pytest.raises(BandwidthTooLarge):
+        _trotter_eig(H1, random_banded_hermitian(8, 2, rng), 1.0)
+    with pytest.raises(DimensionMismatch):
+        _trotter_cycle(H1, split_tridiagonal(sl_hamiltonian(9))[1], 1.0)
 
 
 # -------------------------------------------------------------------------- qpe
@@ -440,28 +452,105 @@ def test_qpe_trotter_stays_normalized_at_benchmark_seed_1409():
     assert abs(res.distribution.sum() - 1.0) <= 1e-13
 
 
+def assert_cycle_eigenbasis(h1, h2, dt):
+    C = _trotter_cycle(h1, h2, dt)
+    theta, U = _trotter_eig(h1, h2, dt)
+    assert np.abs(U.conj().T @ U - np.eye(h1.size)).max() <= 1e-13
+    assert np.abs(C @ U - U * np.exp(1j * theta)).max() <= 1e-12
+    return theta
+
+
 @pytest.mark.parametrize("n", [1, 2, 31, 127, 255])
 def test_unitary_eig_basis_is_orthonormal(n):
     H = sl_hamiltonian(n)
     ss = gershgorin_shift_scale(H)
     h1, h2 = split_tridiagonal(ss.map_matrix(H))
     for steps in (1, 16):
-        C = _trotter_cycle(h1, h2, -2.0 * np.pi / steps)
-        theta, U = _unitary_eig(C)
-        assert np.abs(U.conj().T @ U - np.eye(n)).max() <= 1e-13
-        assert np.abs(C @ U - U * np.exp(1j * theta)).max() <= 1e-12
+        assert_cycle_eigenbasis(h1, h2, -2.0 * np.pi / steps)
+
+
+def widest_gap(theta):
+    angles = np.sort(theta % (2.0 * np.pi))
+    return float(np.diff(angles, append=angles[0] + 2.0 * np.pi).max())
+
+
+def test_trotter_eig_hard_cycles(rng):
+    # n = 511 at one step: the phases cover 7/8 of the circle
+    H = sl_hamiltonian(511)
+    ss = gershgorin_shift_scale(H)
+    assert_cycle_eigenbasis(*split_tridiagonal(ss.map_matrix(H)), -2.0 * np.pi)
+
+    # complex hopping with one zero bond: the gauge skips it
+    n = 96
+    off = rng.uniform(-1.0, 1.0, n - 1) + 1j * rng.uniform(-1.0, 1.0, n - 1)
+    off[40] = 0.0
+    h1, h2 = split_tridiagonal(tridiag_h(rng.uniform(-1.0, 1.0, n), off))
+    assert_cycle_eigenbasis(h1, h2, 0.9)
+
+    # a long time step wraps the phases around the circle many times
+    H = random_banded_hermitian(255, 1, rng)
+    theta = assert_cycle_eigenbasis(*split_tridiagonal(H), 40.0)
+    assert widest_gap(theta) < 0.1
+
+    # zero-diagonal hopping has a spectrum symmetric about 0, so with a
+    # constant diagonal every phase pairs with one mirrored about -c dt; at
+    # odd n one phase sits at -c dt itself, here once at pi
+    for n, c, dt in ((64, 0.8173, 1.3), (65, np.pi / 1.3, 1.3)):
+        off = rng.uniform(-1.0, 1.0, n - 1) + 1j * rng.uniform(-1.0, 1.0, n - 1)
+        theta = assert_cycle_eigenbasis(diag_h(np.full(n, c)),
+                                        tridiag_h(np.zeros(n), off), dt)
+        mirrored = np.sort((-2.0 * c * dt - theta) % (2.0 * np.pi))
+        assert np.abs(np.sort(theta % (2.0 * np.pi)) - mirrored).max() <= 1e-12
 
 
 def test_qpe_trotter_decomposes_one_cycle(monkeypatch):
-    assert not hasattr(qpe, "_TrotterCycle")
+    assert not hasattr(qpe, "_TrotterCycle") and not hasattr(qpe, "_unitary_eig")
     calls = []
-    for name in ("_trotter_cycle", "_unitary_eig"):
+
+    def forbid_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called on a Trotter path")
+
+    monkeypatch.setattr(np.linalg, "eig", forbid_eig)
+    for name in ("_hopping_factor", "_trotter_eig"):
         real = getattr(qpe, name)
         monkeypatch.setattr(qpe, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
     H = sl_hamiltonian(13)
-    run_qpe(H, np.ones(13), 9, gershgorin_shift_scale(H),
-            evolution="trotter", trotter_steps=16)
-    assert sorted(calls) == ["_trotter_cycle", "_unitary_eig"]
+    ss = gershgorin_shift_scale(H)
+    run_qpe(H, np.ones(13), 9, ss, evolution="trotter", trotter_steps=16)
+    assert sorted(calls) == ["_hopping_factor", "_trotter_eig"]
+
+    calls.clear()
+    h1, h2 = split_tridiagonal(ss.map_matrix(sl_hamiltonian(16)))
+    evolve_trotter(h1, h2, 1.0, 8, Statevector.uniform(4))
+    assert calls == ["_hopping_factor"]
+
+    calls.clear()
+    analysis.scan_trotter_error(h1, h2, 1.0, [4])
+    assert calls == ["_hopping_factor"]
+
+
+def readout_phases(t_bits):
+    M = 2 ** t_bits
+    grid = np.arange(M) / M
+    special = np.concatenate([
+        grid, [0.0, 15.0 / 16.0, 1.0 - 2.0 ** -52],   # on the grid and just below 1
+        (grid + 1e-12) % 1.0, (grid - 1e-12) % 1.0,   # 1e-12 off the grid
+    ])
+    # two and a half readout blocks of uniform phases after them
+    rows = 5 * max(1, qpe._READOUT_BLOCK // M) // 2
+    fill = np.random.default_rng(t_bits).uniform(0.0, 1.0, rows)
+    return np.concatenate([special, fill])
+
+
+@pytest.mark.parametrize("t_bits", [1, 4, 12])
+def test_fejer_readout_matches_two_sinc_kernel(t_bits):
+    phases = readout_phases(t_bits)
+    weights = np.random.default_rng(7).uniform(0.0, 1.0, phases.size)
+    weights /= weights.sum()
+    got = _fejer_readout(phases, weights, t_bits)
+    want = fejer_readout_two_sinc(phases, weights, t_bits)
+    assert np.abs(got - want).max() <= 1e-15
+    assert abs(got.sum() - want.sum()) <= 1e-15
 
 
 def test_qpe_rejects_oversized_registers():
