@@ -5,8 +5,9 @@ Usage: python scripts/run_scans.py [output_dir]
 """
 
 import pathlib
-import subprocess
 import sys
+
+from qpencil import cli
 
 
 def main():
@@ -21,9 +22,9 @@ def main():
     ]
     for name, args in jobs:
         target = out_dir / name
-        cmd = [sys.executable, "-m", "qpencil.cli", *args,
-               "--format", "csv", "--out", str(target)]
-        subprocess.run(cmd, check=True)
+        code = cli.main([*args, "--format", "csv", "--out", str(target)])
+        if code:
+            sys.exit(code)
         print(f"wrote {target}")
         print(target.read_text(), end="")
         print("-" * 60)

@@ -4,7 +4,8 @@ Conventions (fixed here, once, for the whole package):
 
 * Phase map.  A shift-and-scale pair ``(sigma, tau)`` sends an eigenvalue to
   the phase ``phi = tau * (lam - sigma)``, which must land in
-  ``[0, 1 - guard)``.  The controlled unitary is arranged so that an
+  ``[0, 1 - guard]``; ``run_qpe`` checks this on the Gershgorin enclosure
+  of ``H``.  The controlled unitary is arranged so that an
   eigenvector with mapped phase ``phi`` produces the ancilla phase ``+phi``
   directly: an ancilla reading ``y`` estimates ``phi ~= y / 2**t`` and hence
   ``lam ~= sigma + y / (2**t tau)``, with no reflection anywhere.
@@ -14,10 +15,10 @@ Conventions (fixed here, once, for the whole package):
   powers are realized by multiplying eigenphases: those of ``H`` (exact
   path) or those of one unitary Trotter cycle times the cycles per power
   (trotter path); no matrix is squared and no cycle repeated.
-* Padding.  When the physical dimension is not a power of two, the
-  Hamiltonian is embedded in the next power of two with decoupled padding
-  rows whose mapped phase sits at ``1 - guard/2``, above every physical
-  phase, so padding outcomes cannot be mistaken for physical ones.
+* Padding.  Register rows beyond the physical dimension are decoupled from
+  ``H`` and share the mapped phase ``1 - guard/2``, above every physical
+  phase, so padding outcomes cannot be mistaken for physical ones.  The
+  readout carries them as one entry at that phase; no matrix is padded.
 * Readout.  For exact evolution the outcome distribution has the closed
   form (Cleve, Ekert, Macchiavello & Mosca, quant-ph/9708016)
 
@@ -25,9 +26,11 @@ Conventions (fixed here, once, for the whole package):
       F_M(d) = sin(pi M d)**2 / (M sin(pi d))**2,
 
   with ``M = 2**t``, eigenphases ``phi_j`` and trial-state overlaps ``c_j``
-  on the matching eigenvectors.  The numerator depends only on ``phi_j``
-  (``sin(pi M d)**2 = sin(pi (M phi_j - rint(M phi_j)))**2``, exact for a
-  power of two), so each kernel entry costs one sine of the wrapped ``d``.
+  on the matching eigenvectors, plus the padding entry weighted by the
+  trial state's mass on the padding rows.  The numerator depends only on
+  ``phi_j`` (``sin(pi M d)**2 = sin(pi (M phi_j - rint(M phi_j)))**2``,
+  exact for a power of two), so each kernel entry costs one sine of the
+  wrapped ``d``.
   Trotter evolution uses the same formula with the eigenphases
   ``s theta_j / 2 pi`` and eigenvectors of its unit cycle ``C`` (``s``
   cycles per power, ``C u_j = exp(i theta_j) u_j``).
@@ -71,6 +74,8 @@ _READOUT_BLOCK = 2 ** 18
 # Inflation applied to a spectral enclosure so that a tight upper bound
 # still maps strictly inside the guarded interval.
 _RANGE_PAD = 1.0 / 64.0
+# Largest dimension the dense eigendecomposition accepts.
+_MAX_DENSE = 4096
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class Statevector:
 
 @dataclass(frozen=True)
 class ShiftScale:
-    """Affine map ``lam -> tau (lam - sigma)`` placing a spectrum in [0, 1 - guard)."""
+    """Affine map ``lam -> tau (lam - sigma)`` placing a spectrum in [0, 1 - guard]."""
 
     shift: float
     scale: float
@@ -168,6 +173,17 @@ class QpeResult:
         object.__setattr__(self, "distribution", dist)
 
 
+def _gershgorin(H: BandedHermitian):
+    """Lower and upper Gershgorin disc bounds of the spectrum of ``H``."""
+    centers = H.diagonals[0].real.copy()
+    radii = np.zeros(H.size)
+    for d in range(1, H.half_bandwidth + 1):
+        mag = np.abs(H.diagonals[d])
+        radii[:H.size - d] += mag
+        radii[d:] += mag
+    return float((centers - radii).min()), float((centers + radii).max())
+
+
 def gershgorin_shift_scale(H: BandedHermitian,
                            guard: float = DEFAULT_GUARD) -> ShiftScale:
     """Shift-and-scale map built from Gershgorin disc bounds.
@@ -177,14 +193,7 @@ def gershgorin_shift_scale(H: BandedHermitian,
     ``[0, 1 - guard)``.  A spectrum collapsed to one point, such as any
     multiple of the identity, maps with unit scale to phase zero.
     """
-    centers = H.diagonals[0].real.copy()
-    radii = np.zeros(H.size)
-    for d in range(1, H.half_bandwidth + 1):
-        mag = np.abs(H.diagonals[d])
-        radii[:H.size - d] += mag
-        radii[d:] += mag
-    lower = float((centers - radii).min())
-    upper = float((centers + radii).max())
+    lower, upper = _gershgorin(H)
     span = upper - lower
     if not math.isfinite(span):
         raise DegenerateRange("Gershgorin discs are not finite")
@@ -199,6 +208,9 @@ def _eigh(H: BandedHermitian):
     When every band is real the dense copy is real, so the decomposition
     runs in real arithmetic and ``V`` is real orthogonal.
     """
+    if H.size > _MAX_DENSE:
+        raise TooManyQubits(
+            f"dense eigendecomposition is capped at dimension {_MAX_DENSE}, got {H.size}")
     real = not any(band.imag.any() for band in H.diagonals)
     return np.linalg.eigh(H.to_dense(np.float64 if real else np.complex128))
 
@@ -212,8 +224,6 @@ def _check_system(H: BandedHermitian, psi: Statevector) -> None:
 def evolve_exact(H: BandedHermitian, time: float, psi: Statevector) -> Statevector:
     """Apply ``exp(-i H t)`` through a dense eigendecomposition."""
     _check_system(H, psi)
-    if H.size > 4096:
-        raise ValueError("dense evolution path is capped at dimension 4096")
     w, V = _eigh(H)
     amps = V @ (np.exp(-1j * w * time) * (V.conj().T @ psi.amplitudes))
     return Statevector(psi.n_qubits, amps)
@@ -316,17 +326,6 @@ def evolve_trotter(H1: BandedHermitian, H2: BandedHermitian, time: float,
     return Statevector(psi.n_qubits, amps)
 
 
-def _embed(H: BandedHermitian, dim: int, pad_value: float) -> BandedHermitian:
-    """Grow to dimension ``dim`` with decoupled diagonal padding entries."""
-    if dim == H.size:
-        return H
-    pad = dim - H.size
-    bands = [np.concatenate([H.diagonals[0].real, np.full(pad, pad_value)])]
-    for d in range(1, H.half_bandwidth + 1):
-        bands.append(np.concatenate([H.diagonals[d], np.zeros(pad)]))
-    return BandedHermitian(dim, H.half_bandwidth, tuple(bands))
-
-
 def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
     if isinstance(psi0, Statevector):
         if psi0.n_qubits != n_sys:
@@ -388,29 +387,29 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
     The ancilla register starts in uniform superposition, branch ``a``
     accumulates ``a`` applications of the unit evolution (whose eigenphases
     are the mapped phases of ``H``), the inverse Fourier transform acts on
-    the ancilla, and the system register is traced out.  Exact evolution
-    reads the distribution off the closed form in the module docstring,
-    from one decomposition of the embedded, phase-mapped ``H``.  Trotter
-    evolution reads it off one decomposition of the physical block's
-    Trotter cycle, whose eigenphases times ``trotter_steps`` are the
-    phases; the decoupled padding rows keep their own.  That decomposition
-    (``_trotter_eig``) runs in real symmetric arithmetic and gives an
-    eigenbasis unitary by construction.  No joint ancilla-by-system state is
-    formed.
+    the ancilla, and the system register is traced out.  The distribution
+    is read off the closed form in the module docstring from one
+    decomposition of the physical block: of the phase-mapped ``H`` for
+    exact evolution, or of its Trotter cycle (``_trotter_eig``), whose
+    eigenphases times ``trotter_steps`` are the phases.  The padding rows
+    are one more readout entry, at phase ``1 - guard/2``.  No padded matrix
+    and no joint ancilla-by-system state is formed.
 
     Parameters
     ----------
     H : BandedHermitian
-        Physical Hamiltonian; padded to a power of two when necessary.
+        Physical Hamiltonian, of size at most 4096; tridiagonal for Trotter.
     psi0 : Statevector, array_like or "ground"
         Trial state on the padded register, a raw vector of the physical
         dimension (zero-padded and normalized), or ``"ground"`` for the
-        lowest eigenvector of the embedded, phase-mapped ``H``, taken from
-        the decomposition that the exact readout uses.
+        lowest eigenvector of the phase-mapped ``H``, taken from the
+        decomposition that the exact readout uses.
     t_bits : int
         Ancilla width; outcomes resolve phases to ``2**-t_bits``.
     shift_scale : ShiftScale
-        Phase map; every physical eigenvalue must land in ``[0, 1 - guard)``.
+        Phase map; it must send the Gershgorin enclosure of ``H`` into
+        ``[0, 1 - guard]``, else ``DegenerateRange`` is raised before any
+        decomposition.
     evolution : {"exact", "trotter"}
         Exact eigenphase evolution, or first-order Trotter cycles of the
         diagonal/hopping split with ``trotter_steps`` cycles per unit power.
@@ -428,31 +427,33 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
     if n_sys + t_bits > MAX_QUBITS:
         raise TooManyQubits(
             f"{n_sys} system + {t_bits} ancilla qubits exceed the budget of {MAX_QUBITS}")
+    # Mapping H's own bounds sends a Gershgorin map's lower bound to exactly 0.
+    low, high = shift_scale.phase(_gershgorin(H))
+    if not (low >= 0.0 and high <= 1.0 - shift_scale.guard):
+        raise DegenerateRange(
+            f"the phase map sends the Gershgorin enclosure of H to [{low}, {high}], "
+            f"outside [0, {1.0 - shift_scale.guard}]")
 
-    pad_value = float(shift_scale.eigenvalue(1.0 - shift_scale.guard / 2.0))
-    H_emb = _embed(H, 2 ** n_sys, pad_value)
     state = None if ground else _system_state(psi0, n_sys, H.size)
-    H_phase = shift_scale.map_matrix(H_emb)  # spectrum equals the mapped phases
+    H_phase = shift_scale.map_matrix(H)  # spectrum equals the mapped phases
+    if evolution == "trotter":
+        h1, h2 = split_tridiagonal(H_phase)
     if ground or evolution == "exact":
-        phases, V = _eigh(H_phase)
+        phases, basis = _eigh(H_phase)
     if ground:
-        state = V[:, 0]
-
-    if evolution == "exact":
-        if ground:  # the trial is eigenvector 0 itself: all weight on phases[0]
-            phases, weights = phases[:1], np.ones(1)
-        else:
-            weights = np.abs(V.conj().T @ state) ** 2
+        state = basis[:, 0]
+    if evolution == "trotter":
+        # exp(+2 pi i H_phase) as s cycles of time -2 pi / s
+        theta, basis = _trotter_eig(h1, h2, -2.0 * np.pi / trotter_steps)
+        phases = trotter_steps * theta / (2.0 * np.pi) % 1.0
+    if ground and evolution == "exact":  # all weight on eigenvector 0
+        phases, weights = phases[:1], np.ones(1)
     else:
-        # exp(+2 pi i H_phase) as s cycles of time -2 pi / s; the decoupled
-        # padding rows are left out of the decomposition and keep their phase.
-        n = H.size
-        h1, h2 = split_tridiagonal(shift_scale.map_matrix(H))
-        theta, U = _trotter_eig(h1, h2, -2.0 * np.pi / trotter_steps)
-        phases = np.concatenate([trotter_steps * theta / (2.0 * np.pi) % 1.0,
-                                 H_phase.diagonals[0].real[n:]])
-        weights = np.concatenate([np.abs(U.conj().T @ state[:n]) ** 2,
-                                  np.abs(state[n:]) ** 2])
+        weights = np.abs(basis.conj().T @ state[:H.size]) ** 2
+    pad_mass = np.linalg.norm(state[H.size:]) ** 2
+    if pad_mass > 0.0:  # the padding rows share the phase 1 - guard/2
+        phases = np.append(phases, 1.0 - shift_scale.guard / 2.0)
+        weights = np.append(weights, pad_mass)
     return QpeResult(t_bits, _fejer_readout(phases, weights, t_bits), shift_scale)
 
 
@@ -483,8 +484,6 @@ def overlap_probabilities(psi0, H: BandedHermitian):
     These overlaps are exactly the weights with which phase estimation
     distributes its outcome mass across eigenphases.
     """
-    if H.size > 4096:
-        raise ValueError("dense overlap path is capped at dimension 4096")
     if isinstance(psi0, Statevector):
         vec = psi0.amplitudes
     else:

@@ -316,7 +316,7 @@ def test_qpe_ground_trial_decomposes_once(route, tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "qpe", "--problem", path, "--reduction", route,
                          "--t-bits", "6", "--trial", "ground")
     assert code == 0
-    assert eigh_sizes == [16]
+    assert eigh_sizes == [15]
     # Jacobi is the oracle only: neither route's block routines call it
     assert jacobi_dims == []
 

@@ -15,6 +15,7 @@ from qpencil.discretize import (
 )
 from qpencil.errors import (
     BandwidthTooLarge,
+    DegenerateRange,
     DimensionMismatch,
     OutOfRange,
     TooManyQubits,
@@ -551,6 +552,78 @@ def test_fejer_readout_matches_two_sinc_kernel(t_bits):
     want = fejer_readout_two_sinc(phases, weights, t_bits)
     assert np.abs(got - want).max() <= 1e-15
     assert abs(got.sum() - want.sum()) <= 1e-15
+
+
+def record_eigh_sizes(monkeypatch):
+    sizes = []
+    real = qpe._eigh
+    monkeypatch.setattr(qpe, "_eigh", lambda H: sizes.append(H.size) or real(H))
+    return sizes
+
+
+@pytest.mark.parametrize("evolution,trial,expected", [
+    ("exact", "uniform", [13]),
+    ("exact", "ground", [13]),
+    ("trotter", "uniform", [13]),
+    ("trotter", "ground", [13, 13]),   # the hopping factor, then the ground trial
+])
+def test_qpe_decomposes_physical_block_only(evolution, trial, expected, monkeypatch):
+    # n = 13 pads to 16 rows, but only the 13-row block is ever decomposed
+    assert not hasattr(qpe, "_embed")
+    sizes = record_eigh_sizes(monkeypatch)
+    H = sl_hamiltonian(13)
+    psi0 = "ground" if trial == "ground" else np.ones(13)
+    res = run_qpe(H, psi0, 8, gershgorin_shift_scale(H), evolution=evolution,
+                  trotter_steps=4)
+    assert sizes == expected
+    assert abs(res.distribution.sum() - 1.0) <= 1e-13
+
+
+def test_qpe_rejects_phase_map_outside_guard(monkeypatch):
+    # n = 7 with a map 3x too steep: the top eigenvalue's phase wraps past 1
+    # and would alias to a low outcome without the check
+    H = sl_hamiltonian(7)
+    ss = gershgorin_shift_scale(H)
+    steep = ShiftScale(ss.shift, 3.0 * ss.scale, ss.guard)
+    assert steep.phase(np.linalg.eigvalsh(H.to_dense())).max() > 1.0
+    sizes = record_eigh_sizes(monkeypatch)
+    for evolution in ("exact", "trotter"):
+        for psi0 in ("ground", np.ones(7)):
+            with pytest.raises(DegenerateRange):
+                run_qpe(H, psi0, 8, steep, evolution=evolution, trotter_steps=4)
+    # a lower bound one step below the shift is rejected as well
+    with pytest.raises(DegenerateRange):
+        run_qpe(diag_h([0.0, 0.5]), np.ones(2), 4, ShiftScale(1e-3, 1.0))
+    assert sizes == []
+
+
+def test_qpe_trotter_splits_before_decomposing(rng, monkeypatch):
+    H = random_banded_hermitian(40, 2, rng)
+    ss = gershgorin_shift_scale(H)
+    sizes = record_eigh_sizes(monkeypatch)
+    for psi0 in ("ground", np.ones(40)):
+        with pytest.raises(BandwidthTooLarge):
+            run_qpe(H, psi0, 6, ss, evolution="trotter", trotter_steps=4)
+    assert sizes == []
+
+
+def test_dense_paths_refuse_dimensions_above_4096(monkeypatch):
+    def forbid_dense(self, dtype=np.complex128):
+        raise AssertionError(f"dense copy of dimension {self.size} formed")
+
+    monkeypatch.setattr(BandedHermitian, "to_dense", forbid_dense)
+    H = tridiag_h(np.full(4097, 2.0), np.full(4096, -1.0))
+    ss = gershgorin_shift_scale(H)
+    for evolution in ("exact", "trotter"):
+        for psi0 in ("ground", np.ones(4097)):
+            with pytest.raises(TooManyQubits, match="4096"):
+                run_qpe(H, psi0, 1, ss, evolution=evolution, trotter_steps=1)
+    with pytest.raises(TooManyQubits, match="4096"):
+        overlap_probabilities(np.ones(4097), H)
+    # evolve_exact needs a power-of-two register: the next one above the cap
+    H = tridiag_h(np.full(8192, 2.0), np.full(8191, -1.0))
+    with pytest.raises(TooManyQubits, match="4096"):
+        evolve_exact(H, 1.0, Statevector.uniform(13))
 
 
 def test_qpe_rejects_oversized_registers():
