@@ -151,9 +151,6 @@ def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
     reproducible surrogate for the operator-norm error.
     """
     H = H1.add(H2)
-    n_qubits = int(np.log2(H.size))
-    if 2 ** n_qubits != H.size:
-        raise ValueError("Trotter scan needs a power-of-two dimension")
     trials = np.hstack([np.eye(H.size, min(8, H.size)),
                         np.full((H.size, 1), 1.0 / np.sqrt(H.size))]).astype(np.complex128)
     w, V = _eigh(H)

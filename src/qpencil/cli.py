@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -199,6 +200,8 @@ def _to_json(value) -> str:
         if value.ndim == 2:
             template = "[" + ",".join([template] * value.shape[0]) + "]"
         return template % tuple(value.ravel().tolist())
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu" and value.ndim == 1:
+        return "[" + ",".join(map(str, value.tolist())) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -295,7 +298,7 @@ def _cmd_qpe(config: RunConfig):
     dominant = int(np.argmax(result.distribution))
     samples = []
     if config.shots > 0:
-        samples = [int(v) for v in qpe.sample_outcomes(result, config.shots, config.seed)]
+        samples = qpe.sample_outcomes(result, config.shots, config.seed)
     doc = {
         "schema_version": SCHEMA_VERSION, "command": "qpe", "problem": echo,
         "route": route, "t_bits": config.t_bits,
@@ -453,6 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and shared by later calls."""
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     problem = None
     if getattr(args, "problem", None):
@@ -502,8 +511,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         # Input errors exit 2 also when only assembly finds them (overflow).

@@ -29,8 +29,12 @@ Conventions (fixed here, once, for the whole package):
   on the matching eigenvectors, plus the padding entry weighted by the
   trial state's mass on the padding rows.  The numerator depends only on
   ``phi_j`` (``sin(pi M d)**2 = sin(pi (M phi_j - rint(M phi_j)))**2``,
-  exact for a power of two), so each kernel entry costs one sine of the
-  wrapped ``d``.
+  exact for a power of two).  The denominator is expanded by the angle-sum
+  rule into fixed sine and cosine tables over the ``M`` outcome offsets and
+  two values per eigenphase, so each kernel row is a cyclic shift of the
+  tables and one readout takes ``O(n + M)`` sines and cosines rather than
+  one per kernel entry; every entry keeps its relative accuracy, because
+  the two terms of the sum cancel by at most a factor two.
   Trotter evolution uses the same formula with the eigenphases
   ``s theta_j / 2 pi`` and eigenvectors of its unit cycle ``C`` (``s``
   cycles per power, ``C u_j = exp(i theta_j) u_j``).
@@ -71,6 +75,9 @@ MAX_QUBITS = 24
 _NORM_ATOL = 1e-10
 # Largest eigenphase-by-outcome kernel block the readout evaluates at once.
 _READOUT_BLOCK = 2 ** 18
+# Largest slice of shifted table rows the readout gathers at once; small
+# enough that the gathered copies stay in cache.
+_GATHER_BLOCK = 2 ** 15
 # Inflation applied to a spectral enclosure so that a tight upper bound
 # still maps strictly inside the guarded interval.
 _RANGE_PAD = 1.0 / 64.0
@@ -348,34 +355,58 @@ def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
 def _fejer_readout(phases: np.ndarray, weights: np.ndarray, t_bits: int) -> np.ndarray:
     """Outcome distribution ``sum_j w_j F_M(phi_j - y/M)`` for eigenphases ``phi_j``.
 
-    For ``M = 2**t`` the offset ``r_j = M phi_j - rint(M phi_j)`` is exact
-    and ``sin(pi M delta)**2 = sin(pi r_j)**2`` for every outcome, so the
-    numerator is one sine per eigenphase and each kernel entry costs one
-    ``sin(pi delta)``.  ``F_M = 1`` where ``delta = 0``, which happens only
-    for an eigenphase on the outcome grid (``r_j = 0``) at its own outcome.
-    The eigenphase-by-outcome kernel is evaluated in blocks of at most
-    ``_READOUT_BLOCK`` entries.
+    For ``M = 2**t`` write ``k_j = rint(M phi_j)``; the offset
+    ``r_j = M phi_j - k_j`` is exact and ``sin(pi M delta)**2 =
+    sin(pi r_j)**2`` for every outcome, so the numerator is one sine per
+    eigenphase.  With ``u = (y - k_j) mod M`` wrapped into ``[-M/2, M/2)``,
+    ``M delta = r_j - u`` up to a multiple of ``M``, and the denominator is
+    ``sin(pi (r_j - u)/M) = C[u] sin(pi r_j/M) - S[u] cos(pi r_j/M)`` up to
+    sign, from the tables ``S[u] = sin(pi u/M)`` and ``C[u] = cos(pi u/M)``.
+    So one call takes ``O(n + M)`` sines and cosines, and each kernel row
+    is a cyclic shift of the tables, gathered as one row of a doubled
+    table.  Every entry keeps its relative accuracy: for ``u != 0``,
+    ``|r_j - u| >= |u|/2``, so the two products cancel by at most a factor
+    two, and for ``u = 0`` the denominator is the sine of ``r_j`` itself.
+    ``F_M = 1`` where ``delta = 0``, which happens only for an eigenphase on
+    the outcome grid (``r_j = 0``) at its own outcome.  The
+    eigenphase-by-outcome kernel is evaluated in blocks of at most
+    ``_READOUT_BLOCK`` entries, in one buffer allocated per call, and the
+    table rows are gathered ``_GATHER_BLOCK`` entries at a time.
     """
     M = 2 ** t_bits
     scaled = M * phases
-    offsets = scaled - np.rint(scaled)
+    nearest = np.rint(scaled)
+    offsets = scaled - nearest
     numerators = np.sin(np.pi * offsets) / M
-    outcome_phases = np.arange(M) / M
+    half_turns = offsets * (np.pi / M)
+    sin_r, cos_r = np.sin(half_turns)[:, None], np.cos(half_turns)[:, None]
+    u = np.arange(M)
+    u[M // 2:] -= M
+    angles = u * (np.pi / M)
+    # Row s of a window over the doubled table is the table shifted by s:
+    # row (-k_j) mod M holds the entry for u = (y - k_j) mod M at column y.
+    sin_rows = np.lib.stride_tricks.sliding_window_view(np.tile(np.sin(angles), 2), M)
+    cos_rows = np.lib.stride_tricks.sliding_window_view(np.tile(np.cos(angles), 2), M)
+    shifts = (-nearest.astype(np.int64)) % M
     rows = max(1, _READOUT_BLOCK // M)
+    gather = max(1, _GATHER_BLOCK // M)
+    buffer = np.empty((min(rows, phases.size), M))
     distribution = np.zeros(M)
     for start in range(0, phases.size, rows):
         j = slice(start, start + rows)
-        kernel = phases[j, None] - outcome_phases
-        # F_M has period 1; the wrapped delta, |delta| <= 1/2, is one correctly
-        # rounded subtraction, so sin(pi delta) keeps relative accuracy.
-        kernel -= np.rint(kernel)
-        kernel *= np.pi
-        np.sin(kernel, out=kernel)
+        kernel = buffer[:shifts[j].size]
+        for low in range(0, kernel.shape[0], gather):
+            i = slice(start + low, start + low + gather)
+            part = kernel[low:low + gather]
+            np.multiply(cos_rows[shifts[i]], sin_r[i], out=part)
+            sines = sin_rows[shifts[i]]
+            sines *= cos_r[i]
+            part -= sines
         with np.errstate(invalid="ignore"):  # 0/0 where delta = 0
             np.divide(numerators[j, None], kernel, out=kernel)
         kernel *= kernel
         on_grid = np.flatnonzero(offsets[j] == 0.0)
-        kernel[on_grid, np.rint(scaled[j][on_grid]).astype(np.int64) % M] = 1.0
+        kernel[on_grid, (-shifts[j][on_grid]) % M] = 1.0
         distribution += weights[j] @ kernel
     return distribution
 

@@ -134,6 +134,14 @@ def test_trotter_scan_first_order_convergence():
     assert errs[-1] / errs[-2] == pytest.approx(0.5, abs=0.1)
 
 
+def test_trotter_scan_halves_at_any_dimension():
+    # n = 15 is not a power of two; the scan evolves the unpadded H on both sides
+    h1, h2 = scaled_split(15)
+    errs = [r.observable for r in scan_trotter_error(h1, h2, 1.0, [4, 8, 16, 32, 64])]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine == pytest.approx(2.0, rel=0.05)
+
+
 def test_trotter_scan_time_squared_scaling():
     h1, h2 = scaled_split()
     e1 = scan_trotter_error(h1, h2, 1.0, [32])[0].observable

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qpencil import analysis, linalg, qpe
+from qpencil import analysis, cli, linalg, qpe
 from qpencil.cli import _to_json, load_problem_spec, main, RandomPencilParams
 from qpencil.discretize import GridSpec, SturmLiouvilleSpec
 from qpencil.errors import NonPositiveCoefficient, ParseError
@@ -172,6 +172,17 @@ def test_qpe_command_deterministic_samples(tmp_path, capsys):
     assert code == 0
     assert len(doc["samples"]) == 100
     assert set(doc["samples"]) == {doc["dominant_outcome"]}
+
+
+def test_qpe_samples_serialize_as_a_json_integer_list(tmp_path, capsys):
+    path = write_problem(tmp_path, UNIT_PROBLEM)
+    _, out, _ = run_cli(capsys, "qpe", "--problem", path, "--t-bits", "5")
+    assert '"shots":0,"seed":0,"samples":[]}' in out
+    _, out, _ = run_cli(capsys, "qpe", "--problem", path, "--t-bits", "5",
+                        "--shots", "7", "--seed", "2")
+    samples = json.loads(out)["samples"]
+    assert '"samples":[' + ",".join(map(str, samples)) + "]}" in out
+    assert len(samples) == 7 and all(type(y) is int for y in samples)
 
 
 def test_qpe_command_estimates_lowest_eigenvalue(tmp_path, capsys):
@@ -370,3 +381,21 @@ def test_float_arrays_serialize_like_their_elements(rng):
     for bad in (np.array([1.0, np.nan]), np.array([[np.inf, 0.0]])):
         with pytest.raises(ValueError):
             _to_json(bad)
+
+
+def test_integer_arrays_serialize_like_their_elements(rng):
+    values = rng.integers(-2 ** 63, 2 ** 63 - 1, 64, dtype=np.int64, endpoint=True)
+    for arr in (values, values[:0], values.astype(np.uint8), np.arange(5, dtype=np.int32)):
+        assert _to_json(arr) == "[" + ",".join(_to_json(v) for v in arr) + "]"
+        assert _to_json(arr) == _to_json(arr.tolist())
+    assert _to_json(values[:0]) == "[]"
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for _ in range(3):
+        assert run_cli(capsys, "scan-commutator", "--sizes", "8")[0] == 0
+    assert len(built) <= 1

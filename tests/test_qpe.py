@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -552,6 +554,62 @@ def test_fejer_readout_matches_two_sinc_kernel(t_bits):
     want = fejer_readout_two_sinc(phases, weights, t_bits)
     assert np.abs(got - want).max() <= 1e-15
     assert abs(got.sum() - want.sum()) <= 1e-15
+
+
+def fejer_row_longdouble(phase, t_bits):
+    """``F_M(phase - y/M)`` for every outcome ``y``, in extended precision."""
+    M = 2 ** t_bits
+    pi = 4 * np.arctan(np.longdouble(1))
+    scaled = np.longdouble(phase) * M
+    offset = scaled - np.rint(scaled)  # exact: sin(pi M delta)**2 = sin(pi offset)**2
+    delta = np.longdouble(phase) - np.arange(M, dtype=np.longdouble) / M
+    delta -= np.rint(delta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        row = np.sin(pi * offset) ** 2 / (M * np.sin(pi * delta)) ** 2
+    row[delta == 0] = 1
+    return row
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -52,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("t_bits", [1, 4, 8, 12, 16])
+def test_fejer_readout_keeps_relative_accuracy(t_bits):
+    M = 2 ** t_bits
+    phases = [0.0, 1.0 / M, 0.5, (M - 1.0) / M, 1.0 - 2.0 ** -52,
+              3.0 / M + 1e-13, 3.0 / M - 1e-13, 0.5 / M]
+    for phase in phases:
+        got = _fejer_readout(np.array([phase]), np.ones(1), t_bits)
+        want = fejer_row_longdouble(phase, t_bits)
+        kept = want > 1e-300
+        rel = np.abs(got[kept] - want[kept]) / want[kept]
+        assert rel.max() <= 1e-14, (phase, float(rel.max()))
+        assert np.all(got[~kept] <= 1e-300)
+
+
+def test_fejer_readout_takes_no_transcendental_per_entry(monkeypatch):
+    n, t_bits = 127, 12
+    rng = np.random.default_rng(11)
+    phases, weights = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    counted = []
+    for name in ("sin", "cos"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, *args, real=real, **kwargs:
+                            counted.append(np.size(x)) or real(x, *args, **kwargs))
+    _fejer_readout(phases, weights, t_bits)
+    assert 0 < sum(counted) <= 4 * (n + 2 ** t_bits)
+
+
+def test_fejer_readout_memory_peak():
+    n, t_bits = 127, 12
+    rng = np.random.default_rng(12)
+    phases, weights = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        _fejer_readout(phases, weights, t_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * qpe._READOUT_BLOCK * 8 + 64 * 2 ** t_bits
 
 
 def record_eigh_sizes(monkeypatch):

@@ -22,7 +22,7 @@ COMMANDS = [shlex.split(line) for line in fenced_block("Command line", "sh").spl
 
 
 def test_readme_lists_the_commands():
-    assert len(COMMANDS) == 7
+    assert len(COMMANDS) == 8
 
 
 @pytest.mark.parametrize("argv", COMMANDS,
