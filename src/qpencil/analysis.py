@@ -150,6 +150,9 @@ def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
     eight lowest computational basis states plus the uniform state, a
     reproducible surrogate for the operator-norm error.
     """
+    for steps in steps_list:
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps}")
     H = H1.add(H2)
     trials = np.hstack([np.eye(H.size, min(8, H.size)),
                         np.full((H.size, 1), 1.0 / np.sqrt(H.size))]).astype(np.complex128)
@@ -173,6 +176,8 @@ def scan_sparsity(k: int, m: int, sizes, seed: int = 0) -> list:
     and predicted counts, relative deviations, and the Cholesky-to-sqrt
     count ratio.
     """
+    if m < 1:
+        raise ValueError(f"block size m must be at least 1, got {m}")
     records = []
     for size in sizes:
         if size % m:

@@ -3,13 +3,15 @@
 Every command emits a deterministic document (JSON with a schema_version
 field, or CSV with LF line endings).  Floating-point values are written
 with 17 significant digits, so identical configurations and seeds produce
-byte-identical output.
+byte-identical output on one host with one BLAS thread count; LAPACK
+results can differ in their last bits between thread counts.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -49,26 +51,6 @@ class RandomPencilParams:
         if self.k < 0 or self.m < 1 or self.size < 1 or not 0 <= self.seed < 2 ** 64:
             raise ConfigInvalid(
                 "random pencil needs k >= 0, m >= 1, size >= 1 and 0 <= seed < 2**64")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    problem: object = None
-    reduction_route: str = "sqrt"
-    t_bits: int = 6
-    shots: int = 0
-    seed: int = 0
-    evolution: str = "exact"
-    trotter_steps: int | None = None
-    trial: str = "ground"
-    scan_k: int = 1
-    scan_m: int = 4
-    sizes: tuple = ()
-    steps_list: tuple = ()
-    time: float = 1.0
-    out_format: str = "json"
-    out_path: str | None = None
 
 
 def _number(value, name: str) -> float:
@@ -164,9 +146,37 @@ def load_problem_spec(path: str, n_override: int | None = None):
     return spec, grid
 
 
-def _problem_matrices(config: RunConfig):
+def _problem(args: argparse.Namespace):
+    """The problem a command runs on, or None if it takes none or has its own.
+
+    It comes from ``--problem`` or, for the pencil commands, from
+    ``--k``/``--m``/``--size``.  Conflicting sources raise ConfigInvalid
+    rather than one of them being ignored.
+    """
+    if "problem" not in args:
+        return None
+    if args.problem and "size" in args and (args.k, args.m, args.size) != (None,) * 3:
+        raise ConfigInvalid("--problem cannot be combined with --k, --m or --size")
+    if args.problem:
+        problem = load_problem_spec(args.problem, args.n)
+    elif args.command == "scan-trotter":
+        problem = None
+    elif args.k is None:
+        raise ConfigInvalid(f"command {args.command!r} needs --problem or --k/--m/--size")
+    elif args.size is None or args.m is None:
+        raise ConfigInvalid("random pencil needs --k, --m, and --size together")
+    else:
+        problem = RandomPencilParams(args.k, args.m, args.size, args.seed)
+    if args.command == "scan-trotter" and isinstance(problem, RandomPencilParams):
+        raise ConfigInvalid("scan-trotter needs a Sturm-Liouville problem, "
+                            "not a random pencil")
+    if args.n is not None and (problem is None or isinstance(problem, RandomPencilParams)):
+        raise ConfigInvalid("--n sets the grid of a coefficient problem from --problem")
+    return problem
+
+
+def _problem_matrices(problem):
     """Pencil (A, B) plus a JSON-friendly echo of where it came from."""
-    problem = config.problem
     if isinstance(problem, RandomPencilParams):
         A, B = analysis.random_generalized_pair(
             problem.size, problem.k, problem.m, problem.seed)
@@ -183,20 +193,20 @@ def _problem_matrices(config: RunConfig):
 # deterministic serialization
 
 
-def _format_float(x: float) -> str:
-    x = float(x)
-    if not np.isfinite(x):
+def _float_field(values) -> str:
+    """The ``%`` field for floats, once ``values`` (one or many) are checked finite.
+
+    ``"%.17g"`` writes 17 significant digits, enough to round-trip a double.
+    """
+    if not np.isfinite(values).all():
         raise ValueError("refusing to serialize a non-finite float")
-    return format(x, ".17g")
+    return "%.17g"
 
 
 def _to_json(value) -> str:
     if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim in (1, 2):
-        # One template for the whole array: "%.17g" formats exactly as
-        # _format_float does, and finiteness is checked once.
-        if not np.isfinite(value).all():
-            raise ValueError("refusing to serialize a non-finite float")
-        template = "[" + ",".join(["%.17g"] * value.shape[-1]) + "]"
+        # One template for the whole array, checked for finite values once.
+        template = "[" + ",".join([_float_field(value)] * value.shape[-1]) + "]"
         if value.ndim == 2:
             template = "[" + ",".join([template] * value.shape[0]) + "]"
         return template % tuple(value.ravel().tolist())
@@ -209,7 +219,7 @@ def _to_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(value)
+        return _float_field(value) % value
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -220,121 +230,121 @@ def _to_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return _format_float(value)
-    return str(value)
+def _to_csv(header, *columns) -> str:
+    """The header row, then row ``i`` from entry ``i`` of every column.
+
+    As in ``_to_json``, each float column is checked for finite values once
+    and the whole text is one template, so no copy is made after formatting;
+    entries of other columns go through ``str``.
+    """
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join(_float_field(c) if c.dtype.kind == "f" else "%s" for c in columns)
+    template = ",".join(header) + "\n" + (row + "\n") * len(columns[0])
+    return template % tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
 
 
-def _to_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _records_doc(command: str, records):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "records": [
-            {"parameter": r.parameter, "observable": r.observable, "label": r.label}
-            for r in records
-        ],
-    }
-
-
-def _records_csv(records):
-    return lambda: _to_csv(("parameter", "observable", "label"),
-                           [(r.parameter, r.observable, r.label) for r in records])
+def _records(command: str, records):
+    """A scan's JSON document and CSV builder: one entry per record."""
+    doc = {"schema_version": SCHEMA_VERSION, "command": command,
+           "records": [{"parameter": r.parameter, "observable": r.observable,
+                        "label": r.label} for r in records]}
+    return doc, lambda: _to_csv(("parameter", "observable", "label"),
+                                [r.parameter for r in records],
+                                [r.observable for r in records],
+                                [r.label for r in records])
 
 
 # ---------------------------------------------------------------------------
 # commands
 #
-# Each command returns its JSON document and a zero-argument function that
-# builds the CSV text, so the CSV is only built when it is asked for.
+# Each command takes the parsed arguments and the problem from _problem, and
+# returns its JSON document and a zero-argument function that builds the CSV
+# text, so the CSV is only built when it is asked for.
 
 
-def _cmd_spectrum(config: RunConfig):
-    A, B, echo = _problem_matrices(config)
+def _cmd_spectrum(args, problem):
+    A, B, echo = _problem_matrices(problem)
     w, _ = analysis.oracle_eigensolve(A, B)
     doc = {"schema_version": SCHEMA_VERSION, "command": "spectrum",
-           "problem": echo, "eigenvalues": list(map(float, w))}
-    return doc, lambda: _to_csv(("index", "eigenvalue"), enumerate(map(float, w)))
+           "problem": echo, "eigenvalues": w}
+    return doc, lambda: _to_csv(("index", "eigenvalue"), np.arange(w.size), w)
 
 
-def _cmd_reduce(config: RunConfig):
-    A, B, echo = _problem_matrices(config)
-    route = config.reduction_route
-    H = reduction.REDUCERS[route](A, B).hamiltonian
-    block_sizes = set(B.block_sizes)
+def _cmd_reduce(args, problem):
+    A, B, echo = _problem_matrices(problem)
+    H = reduction.REDUCERS[args.reduction](A, B).hamiltonian
     predicted = None
-    if len(block_sizes) == 1:
+    if len(set(B.block_sizes)) == 1:
         try:
-            predicted = predicted_nnz(route, A.half_bandwidth, B.block_sizes[0], A.size)
+            predicted = predicted_nnz(args.reduction, A.half_bandwidth, B.block_sizes[0], A.size)
         except RegimeViolation:
-            predicted = None
+            pass
     bands = [np.stack([band.real, band.imag], axis=1) for band in H.diagonals]
     doc = {"schema_version": SCHEMA_VERSION, "command": "reduce", "problem": echo,
-           "route": route, "size": H.size, "half_bandwidth": H.half_bandwidth,
+           "route": args.reduction, "size": H.size, "half_bandwidth": H.half_bandwidth,
            "nnz": count_nonzeros(H), "predicted_nnz": predicted,
            "diagonals": bands}
-    rows = ((d, i, float(v.real), float(v.imag))
-            for d, band in enumerate(H.diagonals) for i, v in enumerate(band))
-    return doc, lambda: _to_csv(("offset", "index", "value_re", "value_im"), rows)
+    return doc, lambda: _to_csv(("offset", "index", "value_re", "value_im"),
+                                np.repeat(np.arange(len(bands)), [len(b) for b in bands]),
+                                np.concatenate([np.arange(len(b)) for b in bands]),
+                                *np.concatenate(bands).T)
 
 
-def _cmd_qpe(config: RunConfig):
-    A, B, echo = _problem_matrices(config)
-    route = config.reduction_route
-    H = reduction.REDUCERS[route](A, B).hamiltonian
+def _cmd_qpe(args, problem):
+    if args.t_bits < 1:
+        raise ConfigInvalid("--t-bits must be at least 1")
+    if args.shots < 0:
+        raise ConfigInvalid("--shots must be non-negative")
+    if args.evolution == "trotter" and (args.trotter_steps is None or args.trotter_steps < 1):
+        raise ConfigInvalid("--evolution trotter requires --trotter-steps >= 1")
+    A, B, echo = _problem_matrices(problem)
+    H = reduction.REDUCERS[args.reduction](A, B).hamiltonian
     ss = qpe.gershgorin_shift_scale(H)
-    trial = "ground"
-    if config.trial == "uniform":
+    trial = args.trial  # run_qpe takes "ground" as it is
+    if trial == "uniform":
         trial = np.full(H.size, 1.0 / np.sqrt(H.size), dtype=complex)
-    result = qpe.run_qpe(H, trial, config.t_bits, ss,
-                         evolution=config.evolution,
-                         trotter_steps=config.trotter_steps)
+    result = qpe.run_qpe(H, trial, args.t_bits, ss, evolution=args.evolution,
+                         trotter_steps=args.trotter_steps)
     dominant = int(np.argmax(result.distribution))
     samples = []
-    if config.shots > 0:
-        samples = qpe.sample_outcomes(result, config.shots, config.seed)
+    if args.shots > 0:
+        samples = qpe.sample_outcomes(result, args.shots, args.seed)
     doc = {
         "schema_version": SCHEMA_VERSION, "command": "qpe", "problem": echo,
-        "route": route, "t_bits": config.t_bits,
-        "evolution": config.evolution, "trotter_steps": config.trotter_steps,
+        "route": args.reduction, "t_bits": args.t_bits,
+        "evolution": args.evolution, "trotter_steps": args.trotter_steps,
         "shift": ss.shift, "scale": ss.scale, "guard": ss.guard,
         "distribution": result.distribution,
         "dominant_outcome": dominant,
-        "dominant_eigenvalue": qpe.outcome_to_eigenvalue(dominant, config.t_bits, ss),
-        "shots": config.shots, "seed": config.seed, "samples": samples,
+        "dominant_eigenvalue": qpe.outcome_to_eigenvalue(dominant, args.t_bits, ss),
+        "shots": args.shots, "seed": args.seed, "samples": samples,
     }
-    rows = ((y, float(p), qpe.outcome_to_eigenvalue(y, config.t_bits, ss))
-            for y, p in enumerate(result.distribution))
-    return doc, lambda: _to_csv(("outcome", "probability", "eigenvalue"), rows)
+    # y / 2**t is exact, so the column equals outcome_to_eigenvalue entry by entry.
+    outcomes = np.arange(result.distribution.size)
+    return doc, lambda: _to_csv(("outcome", "probability", "eigenvalue"), outcomes,
+                                result.distribution,
+                                ss.eigenvalue(outcomes / 2 ** args.t_bits))
 
 
-def _cmd_scan_sparsity(config: RunConfig):
-    records = analysis.scan_sparsity(config.scan_k, config.scan_m,
-                                     config.sizes, config.seed)
-    doc = _records_doc("scan-sparsity", records)
+def _cmd_scan_sparsity(args, problem):
+    if args.k < 0 or args.m < 1:
+        raise ConfigInvalid("scan-sparsity needs --k >= 0 and --m >= 1")
+    for size in args.sizes:
+        if size < 1 or size % args.m:
+            raise ConfigInvalid(
+                f"--sizes must be positive multiples of --m {args.m}, got {size}")
+    records = analysis.scan_sparsity(args.k, args.m, args.sizes, args.seed)
+    doc, _ = _records("scan-sparsity", records)
     by_size = {}
     for r in records:
         by_size.setdefault(int(r.parameter), {})[r.label] = r.observable
+    sizes = sorted(by_size)
+    labels = ("measured_nnz_cholesky", "measured_nnz_sqrt", "predicted_nnz_cholesky",
+              "predicted_nnz_sqrt", "nnz_ratio", "rel_dev_cholesky", "rel_dev_sqrt")
+    table = np.array([[by_size[size][label] for size in sizes] for label in labels])
     header = ("N", "nnz_cholesky", "nnz_sqrt", "predicted_cholesky",
               "predicted_sqrt", "ratio", "rel_dev_cholesky", "rel_dev_sqrt")
-    rows = []
-    for size in sorted(by_size):
-        vals = by_size[size]
-        rows.append((size,
-                     int(vals["measured_nnz_cholesky"]),
-                     int(vals["measured_nnz_sqrt"]),
-                     int(vals["predicted_nnz_cholesky"]),
-                     int(vals["predicted_nnz_sqrt"]),
-                     vals["nnz_ratio"],
-                     vals["rel_dev_cholesky"],
-                     vals["rel_dev_sqrt"]))
-    return doc, lambda: _to_csv(header, rows)
+    return doc, lambda: _to_csv(header, sizes, *table[:4].astype(np.int64), *table[4:])
 
 
 def _default_trotter_problem():
@@ -345,18 +355,22 @@ def _default_trotter_problem():
     return spec, discretize.GridSpec(8)
 
 
-def _cmd_scan_trotter(config: RunConfig):
-    spec, grid = config.problem or _default_trotter_problem()
+def _cmd_scan_trotter(args, problem):
+    if min(args.steps_list) < 1:
+        raise ConfigInvalid("--steps must be at least 1")
+    spec, grid = problem or _default_trotter_problem()
     H = discretize.build_sl_reduced(spec, grid)
     ss = qpe.gershgorin_shift_scale(H)
     h1, h2 = qpe.split_tridiagonal(ss.map_matrix(H))
-    records = analysis.scan_trotter_error(h1, h2, config.time, config.steps_list)
-    return _records_doc("scan-trotter", records), _records_csv(records)
+    records = analysis.scan_trotter_error(h1, h2, args.time, args.steps_list)
+    return _records("scan-trotter", records)
 
 
-def _cmd_scan_commutator(config: RunConfig):
-    records = analysis.scan_commutator_norm(lambda s: s, config.sizes)
-    return _records_doc("scan-commutator", records), _records_csv(records)
+def _cmd_scan_commutator(args, problem):
+    if min(args.sizes) < 1:
+        raise ConfigInvalid("--sizes must be at least 1")
+    records = analysis.scan_commutator_norm(lambda s: s, args.sizes)
+    return _records("scan-commutator", records)
 
 
 _COMMANDS = {
@@ -367,14 +381,6 @@ _COMMANDS = {
     "scan-trotter": _cmd_scan_trotter,
     "scan-commutator": _cmd_scan_commutator,
 }
-
-
-def run(config: RunConfig) -> tuple:
-    """Execute a validated configuration; returns (exit_code, output_text)."""
-    doc, build_csv = _COMMANDS[config.command](config)
-    if config.out_format == "csv":
-        return 0, build_csv()
-    return 0, _to_json(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -398,39 +404,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "estimate eigenvalues with simulated phase estimation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, problem=False, pencil=False):
+    def add_common(p, problem=False, pencil=False, route=False):
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output document format")
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="write output here instead of stdout")
+        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         if problem:
             p.add_argument("--problem", metavar="PATH",
                            help="problem-spec JSON file")
-            p.add_argument("--n", type=int, default=None,
-                           help="override the grid size of the problem file")
+            p.add_argument("--n", type=int, help="override the grid size of the problem file")
         if pencil:
-            p.add_argument("--k", type=int, default=None,
-                           help="half-bandwidth of the random matrix A")
-            p.add_argument("--m", type=int, default=None,
-                           help="block size of the random matrix B")
-            p.add_argument("--size", type=int, default=None,
-                           help="dimension of the random pencil")
+            p.add_argument("--k", type=int, help="half-bandwidth of the random matrix A")
+            p.add_argument("--m", type=int, help="block size of the random matrix B")
+            p.add_argument("--size", type=int, help="dimension of the random pencil")
+        if route:
+            p.add_argument("--reduction", choices=tuple(reduction.REDUCERS), default="sqrt")
 
     p = sub.add_parser("spectrum", help="classical spectrum of a pencil problem")
     add_common(p, problem=True, pencil=True)
 
     p = sub.add_parser("reduce", help="reduce a pencil to standard Hermitian form")
-    add_common(p, problem=True, pencil=True)
-    p.add_argument("--reduction", choices=tuple(reduction.REDUCERS), default="sqrt")
+    add_common(p, problem=True, pencil=True, route=True)
 
     p = sub.add_parser("qpe", help="simulate phase estimation on a reduced problem")
-    add_common(p, problem=True, pencil=True)
-    p.add_argument("--reduction", choices=tuple(reduction.REDUCERS), default="sqrt")
+    add_common(p, problem=True, pencil=True, route=True)
     p.add_argument("--t-bits", type=int, default=6, help="ancilla register width")
     p.add_argument("--shots", type=int, default=0, help="samples to draw (0 = none)")
     p.add_argument("--evolution", choices=("exact", "trotter"), default="exact")
-    p.add_argument("--trotter-steps", type=int, default=None,
+    p.add_argument("--trotter-steps", type=int,
                    help="Trotter cycles per unit power (trotter evolution)")
     p.add_argument("--trial", choices=("ground", "uniform"), default="ground",
                    help="trial state: lowest eigenvector of the reduced "
@@ -462,72 +463,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    problem = None
-    if getattr(args, "problem", None):
-        problem = load_problem_spec(args.problem, getattr(args, "n", None))
-        if args.command == "scan-trotter" and isinstance(problem, RandomPencilParams):
-            raise ConfigInvalid("scan-trotter needs a Sturm-Liouville problem, "
-                                "not a random pencil")
-    elif getattr(args, "k", None) is not None and args.command in ("spectrum", "reduce", "qpe"):
-        if getattr(args, "size", None) is None or getattr(args, "m", None) is None:
-            raise ConfigInvalid("random pencil needs --k, --m, and --size together")
-        problem = RandomPencilParams(args.k, args.m, args.size, args.seed)
-    elif args.command in ("spectrum", "reduce", "qpe"):
-        raise ConfigInvalid(
-            f"command {args.command!r} needs --problem or --k/--m/--size")
-
-    t_bits = getattr(args, "t_bits", 6)
-    shots = getattr(args, "shots", 0)
-    if t_bits < 1:
-        raise ConfigInvalid("--t-bits must be at least 1")
-    if shots < 0:
-        raise ConfigInvalid("--shots must be non-negative")
-    if not 0 <= args.seed < 2 ** 64:
-        raise ConfigInvalid("--seed must be an unsigned 64-bit integer")
-    evolution = getattr(args, "evolution", "exact")
-    trotter_steps = getattr(args, "trotter_steps", None)
-    if evolution == "trotter" and (trotter_steps is None or trotter_steps < 1):
-        raise ConfigInvalid("--evolution trotter requires --trotter-steps >= 1")
-
-    return RunConfig(
-        command=args.command,
-        problem=problem,
-        reduction_route=getattr(args, "reduction", "sqrt"),
-        t_bits=t_bits,
-        shots=shots,
-        seed=args.seed,
-        evolution=evolution,
-        trotter_steps=trotter_steps,
-        trial=getattr(args, "trial", "ground"),
-        scan_k=args.k if getattr(args, "k", None) is not None else 1,
-        scan_m=args.m if getattr(args, "m", None) is not None else 4,
-        sizes=getattr(args, "sizes", ()),
-        steps_list=getattr(args, "steps_list", ()),
-        time=getattr(args, "time", 1.0),
-        out_format=args.format,
-        out_path=args.out,
-    )
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        problem = _problem(args)
+        if not 0 <= args.seed < 2 ** 64:
+            raise ConfigInvalid("--seed must be an unsigned 64-bit integer")
         # Input errors exit 2 also when only assembly finds them (overflow).
-        code, text = run(config)
+        doc, build_csv = _COMMANDS[args.command](args, problem)
+        text = build_csv() if args.format == "csv" else _to_json(doc) + "\n"
     except (ConfigInvalid, ParseError, NonPositiveCoefficient) as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (QpencilError, ValueError) as exc:
         print(f"compute error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Full statevector simulation of textbook phase estimation for banded Hamiltonians.
+"""Textbook phase estimation for banded Hamiltonians, read out in closed form.
 
 Conventions (fixed here, once, for the whole package):
 
@@ -69,7 +69,7 @@ from .linalg import BandedHermitian
 #: Fraction of the phase interval kept free above the mapped spectrum.
 DEFAULT_GUARD = 0.125
 
-#: Total qubit budget of the dense statevector simulator.
+#: Total qubit budget, system plus ancilla register, of a simulated run.
 MAX_QUBITS = 24
 
 _NORM_ATOL = 1e-10

@@ -157,6 +157,13 @@ def test_trotter_scan_monotone_beyond_four_steps():
         assert fine <= coarse + 1e-9
 
 
+@pytest.mark.parametrize("steps_list", [[0], [4, -2]], ids=["zero", "negative"])
+def test_trotter_scan_rejects_step_counts_below_one(steps_list):
+    h1, h2 = scaled_split()
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        scan_trotter_error(h1, h2, 1.0, steps_list)
+
+
 def test_sparsity_scan_ratio_and_deviation():
     records = {(-int(r.parameter), r.label): r.observable
                for r in scan_sparsity(1, 4, [256], seed=0)}
@@ -181,6 +188,11 @@ def test_sparsity_scan_deviation_shrinks_with_size():
 def test_sparsity_scan_regime_violation():
     with pytest.raises(RegimeViolation):
         scan_sparsity(2, 1, [16], seed=0)
+
+
+def test_sparsity_scan_rejects_block_size_below_one():
+    with pytest.raises(ValueError, match="block size m must be at least 1"):
+        scan_sparsity(1, 0, [8], seed=0)
 
 
 def test_sparsity_scan_reproducible():

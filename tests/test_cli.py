@@ -291,6 +291,44 @@ def test_invalid_random_pencil_exits_2_from_flags_and_file(k, m, size, tmp_path,
     assert code == 2 and "ConfigInvalid" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan-trotter", "--steps", "0"),
+    ("scan-trotter", "--steps", "-2"),
+    ("scan-sparsity", "--m", "0"),
+    ("scan-sparsity", "--sizes", "0"),
+    ("scan-sparsity", "--k", "-1"),
+    ("scan-sparsity", "--sizes", "10", "--m", "4"),
+    ("scan-commutator", "--sizes", "0"),
+], ids=["steps-0", "steps-negative", "m-0", "sizes-0", "k-negative", "sizes-indivisible",
+        "commutator-sizes-0"])
+def test_out_of_range_scan_flag_exits_2(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: ConfigInvalid: ") and err.count("\n") == 1
+    assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--problem", "PENCIL", "--n", "100"),
+    ("spectrum", "--k", "1", "--m", "2", "--size", "8", "--n", "5"),
+    ("scan-trotter", "--n", "5", "--steps", "4"),
+], ids=["pencil-file", "pencil-flags", "scan-trotter-default"])
+def test_grid_override_without_coefficient_problem_exits_2(argv, tmp_path, capsys):
+    pencil = write_problem(tmp_path, '{"k": 1, "m": 2, "size": 8}')
+    code, out, err = run_cli(capsys, *(pencil if a == "PENCIL" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert "ConfigInvalid" in err and "--n" in err
+
+
+@pytest.mark.parametrize("flags", [("--k", "1", "--m", "2", "--size", "8"), ("--k", "1")],
+                         ids=["all-pencil-flags", "k-only"])
+def test_problem_file_with_pencil_flags_exits_2(flags, tmp_path, capsys):
+    path = write_problem(tmp_path, UNIT_PROBLEM)
+    code, out, err = run_cli(capsys, "reduce", "--problem", path, *flags)
+    assert (code, out) == (2, "")
+    assert "ConfigInvalid" in err and "--problem" in err
+
+
 def test_grid_override_flag(tmp_path, capsys):
     path = write_problem(tmp_path, UNIT_PROBLEM)
     code, out, _ = run_cli(capsys, "spectrum", "--problem", path, "--n", "7")
@@ -339,7 +377,8 @@ def test_qpe_ground_trial_decomposes_once(route, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [("qpe", "--t-bits", "5", "--shots", "4"),
-                                  ("reduce", "--reduction", "sqrt")])
+                                  ("reduce", "--reduction", "sqrt"),
+                                  ("spectrum",)])
 def test_csv_output_matches_json(argv, tmp_path, capsys):
     path = write_problem(tmp_path, UNIT_PROBLEM)
     _, out_json, _ = run_cli(capsys, argv[0], "--problem", path, *argv[1:])
@@ -348,11 +387,56 @@ def test_csv_output_matches_json(argv, tmp_path, capsys):
     doc = json.loads(out_json)
     rows = [line.split(",") for line in out_csv.splitlines()[1:]]
     if argv[0] == "qpe":
+        assert [int(r[0]) for r in rows] == list(range(2 ** 5))
         assert [float(r[1]) for r in rows] == doc["distribution"]
         assert float(rows[doc["dominant_outcome"]][2]) == doc["dominant_eigenvalue"]
-    else:
+        ss = qpe.ShiftScale(doc["shift"], doc["scale"], doc["guard"])
+        assert [float(r[2]) for r in rows] == [qpe.outcome_to_eigenvalue(y, 5, ss)
+                                               for y in range(2 ** 5)]
+    elif argv[0] == "reduce":
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (d, i) for d, band in enumerate(doc["diagonals"]) for i in range(len(band))]
         values = [[float(r[2]), float(r[3])] for r in rows]
         assert values == [pair for band in doc["diagonals"] for pair in band]
+    else:
+        assert [(int(r[0]), float(r[1])) for r in rows] == list(enumerate(doc["eigenvalues"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan-sparsity", "--k", "1", "--m", "2", "--sizes", "16,8,16"),
+    ("scan-trotter", "--steps", "4,8"),
+    ("scan-commutator", "--sizes", "8,16"),
+], ids=["sparsity", "trotter", "commutator"])
+def test_scan_csv_output_matches_json(argv, capsys):
+    _, out_json, _ = run_cli(capsys, *argv)
+    _, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    records = json.loads(out_json)["records"]
+    header, *lines = out_csv.splitlines()
+    rows = [line.split(",") for line in lines]
+    if argv[0] != "scan-sparsity":
+        assert header == "parameter,observable,label"
+        assert [(float(p), float(o), label) for p, o, label in rows] == [
+            (r["parameter"], r["observable"], r["label"]) for r in records]
+        return
+    by_size = {}
+    for r in records:
+        by_size.setdefault(int(r["parameter"]), {})[r["label"]] = r["observable"]
+    labels = ("measured_nnz_cholesky", "measured_nnz_sqrt", "predicted_nnz_cholesky",
+              "predicted_nnz_sqrt", "nnz_ratio", "rel_dev_cholesky", "rel_dev_sqrt")
+    assert [int(r[0]) for r in rows] == [8, 16]
+    for row in rows:
+        values = by_size[int(row[0])]
+        assert [int(v) for v in row[1:5]] == [values[label] for label in labels[:4]]
+        assert [float(v) for v in row[5:]] == [values[label] for label in labels[4:]]
+
+
+def test_csv_formats_floats_as_json_and_refuses_non_finite_ones():
+    text = cli._to_csv(("i", "x", "s"), np.arange(2), np.array([0.1, -0.0]), ["a", "b"])
+    assert text == f"i,x,s\n0,{_to_json(0.1)},a\n1,{_to_json(-0.0)},b\n"
+    assert text == "i,x,s\n0,0.10000000000000001,a\n1,-0,b\n"
+    for bad in (np.array([1.0, np.nan]), [0.5, -np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._to_csv(("i", "x"), [0, 1], bad)
 
 
 def test_scan_trotter_accepts_problem_file(tmp_path, capsys):
