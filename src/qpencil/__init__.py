@@ -39,13 +39,11 @@ from .linalg import (
     BlockDiagonalPD,
     BlockLowerTriangular,
     SparsityReport,
+    block_powers,
     cholesky_block_diagonal,
     count_nonzeros,
-    invert_block_diagonal,
     predicted_nnz,
-    solve_block_lower,
     sparsity_report,
-    sqrt_block_diagonal,
 )
 from .qpe import (
     QpeResult,

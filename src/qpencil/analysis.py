@@ -6,7 +6,9 @@ solver: an independent check that shares no eigensolver with the pipeline.
 The scans measure nonzero counts of the two reductions, the growth of the
 splitting commutator with grid refinement, and the first-order Trotter
 error against exact evolution; their dense spectra come from LAPACK, like
-the pipeline's.
+the pipeline's.  The Trotter scan powers the cycle the way phase
+estimation does, from its eigenphases times the step count, so no cycle
+is applied repeatedly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TooManyQubits
 from .jacobi import eigh_jacobi
 from .linalg import (
     BandedHermitian,
@@ -24,7 +27,7 @@ from .linalg import (
     count_nonzeros,
     predicted_nnz,
 )
-from .qpe import _eigh, _trotter_cycle
+from .qpe import _apply_phases, _eigh, _trotter_eig
 from .reduction import reduce_cholesky, reduce_sqrt
 
 
@@ -100,7 +103,7 @@ def oracle_eigensolve(A: BandedHermitian, B: BlockDiagonalPD | None = None):
     eigenvectors as columns, normalized so that ``v^H B v = 1``.
     """
     if A.size > 4096:
-        raise ValueError("oracle path is capped at dimension 4096")
+        raise TooManyQubits("oracle path is capped at dimension 4096")
     if B is None:
         B = BlockDiagonalPD.identity(A.size)
     reduced = reduce_cholesky(A, B)
@@ -129,7 +132,7 @@ def scan_commutator_norm(potential, sizes) -> list:
     records = []
     for size in sizes:
         if size > 1024:
-            raise ValueError("commutator scan is capped at size 1024")
+            raise TooManyQubits("commutator scan is capped at size 1024")
         H1 = _laplacian(size)
         v = np.asarray(potential(np.arange(1, size + 1, dtype=float)), dtype=float)
         if v.shape != (size,):
@@ -148,8 +151,13 @@ def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
 
     The observable is ``max_psi || trotter(psi) - exact(psi) ||`` over the
     eight lowest computational basis states plus the uniform state, a
-    reproducible surrogate for the operator-norm error.
+    reproducible surrogate for the operator-norm error.  Both sides are
+    phases in an eigenbasis: exact evolution from one decomposition of
+    ``H1 + H2``, and ``s`` Trotter cycles from one decomposition of the
+    cycle per step count (``_trotter_eig``), its eigenphases times ``s``.
     """
+    if not np.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
     for steps in steps_list:
         if steps < 1:
             raise ValueError(f"steps must be at least 1, got {steps}")
@@ -157,13 +165,11 @@ def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
     trials = np.hstack([np.eye(H.size, min(8, H.size)),
                         np.full((H.size, 1), 1.0 / np.sqrt(H.size))]).astype(np.complex128)
     w, V = _eigh(H)
-    exact = V @ (np.exp(-1j * w * time)[:, None] * (V.conj().T @ trials))
+    exact = _apply_phases(-time * w, V, trials)
     records = []
     for steps in steps_list:
-        C = _trotter_cycle(H1, H2, time / steps)
-        amps = trials
-        for _ in range(steps):
-            amps = C @ amps
+        theta, U = _trotter_eig(H1, H2, time / steps)
+        amps = _apply_phases(steps * theta, U, trials)
         worst = float(np.linalg.norm(amps - exact, axis=0).max())
         records.append(ScanRecord(float(steps), worst, "trotter_error"))
     return records
@@ -208,7 +214,7 @@ def fill_fraction(M, rel_tol: float = 1e-12) -> float:
         M = np.asarray(M)
         size = M.shape[0]
     if size > 1024:
-        raise ValueError("fill fraction path is capped at dimension 1024")
+        raise TooManyQubits("fill fraction path is capped at dimension 1024")
     return count_nonzeros(M, rel_tol) / float(size * size)
 
 

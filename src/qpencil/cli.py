@@ -358,6 +358,8 @@ def _default_trotter_problem():
 def _cmd_scan_trotter(args, problem):
     if min(args.steps_list) < 1:
         raise ConfigInvalid("--steps must be at least 1")
+    if not math.isfinite(args.time):
+        raise ConfigInvalid("--time must be finite")
     spec, grid = problem or _default_trotter_problem()
     H = discretize.build_sl_reduced(spec, grid)
     ss = qpe.gershgorin_shift_scale(H)

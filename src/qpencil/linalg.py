@@ -369,27 +369,6 @@ def block_powers(B: BlockDiagonalPD, *exponents: float) -> tuple:
     return tuple(BlockDiagonalPD._like(B, stacks) for stacks in powers)
 
 
-def sqrt_block_diagonal(B: BlockDiagonalPD) -> BlockDiagonalPD:
-    """Unique positive-definite square root, from one batched eigendecomposition.
-
-    Each block is rebuilt from the square roots of its eigenvalues.
-    """
-    return block_powers(B, 0.5)[0]
-
-
-def invert_block_diagonal(S: BlockDiagonalPD) -> BlockDiagonalPD:
-    """Blockwise inverse; the block sparsity pattern is preserved."""
-    return block_powers(S, -1.0)[0]
-
-
-def solve_block_lower(L: BlockLowerTriangular, X) -> np.ndarray:
-    """Solve ``L Y = X``; only the ``m x m`` blocks of ``L`` are solved against.
-
-    ``X`` may be a vector or a matrix of stacked right-hand sides.
-    """
-    return L.solve(X)
-
-
 def congruence(T: BlockDiagonal, A: BandedHermitian) -> BandedHermitian:
     """Band storage of ``T A T^H`` for block-diagonal ``T``.
 

@@ -14,7 +14,9 @@ Conventions (fixed here, once, for the whole package):
   with ancilla integer ``a`` carries ``a`` repetitions of it.  Controlled
   powers are realized by multiplying eigenphases: those of ``H`` (exact
   path) or those of one unitary Trotter cycle times the cycles per power
-  (trotter path); no matrix is squared and no cycle repeated.
+  (trotter path); no matrix is squared and no cycle repeated.  So do
+  ``evolve_trotter`` and the Trotter error scan: ``s`` cycles are
+  ``U exp(i s theta) U^H`` from the cycle's eigenphases (``_trotter_eig``).
 * Padding.  Register rows beyond the physical dimension are decoupled from
   ``H`` and share the mapped phase ``1 - guard/2``, above every physical
   phase, so padding outcomes cannot be mistaken for physical ones.  The
@@ -228,12 +230,17 @@ def _check_system(H: BandedHermitian, psi: Statevector) -> None:
             f"Hamiltonian of size {H.size} against a {psi.n_qubits}-qubit register")
 
 
+def _apply_phases(phases: np.ndarray, basis: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``basis exp(i diag(phases)) basis^H amps`` for a vector or the columns of a matrix."""
+    coeffs = basis.conj().T @ amps
+    return basis @ (np.exp(1j * phases).reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
+
+
 def evolve_exact(H: BandedHermitian, time: float, psi: Statevector) -> Statevector:
     """Apply ``exp(-i H t)`` through a dense eigendecomposition."""
     _check_system(H, psi)
     w, V = _eigh(H)
-    amps = V @ (np.exp(-1j * w * time) * (V.conj().T @ psi.amplitudes))
-    return Statevector(psi.n_qubits, amps)
+    return Statevector(psi.n_qubits, _apply_phases(-time * w, V, psi.amplitudes))
 
 
 def split_tridiagonal(H: BandedHermitian):
@@ -253,15 +260,26 @@ def split_tridiagonal(H: BandedHermitian):
     return H1, H2
 
 
-def _hopping_factor(H1: BandedHermitian, H2: BandedHermitian, dt: float):
-    """Real-basis factors ``(g, d, E)`` of the cycle ``exp(-i H1 dt) exp(-i H2 dt)``.
+def _trotter_eig(H1: BandedHermitian, H2: BandedHermitian, dt: float):
+    """Eigenphases ``theta`` and an orthonormal eigenbasis ``U`` of the Trotter cycle.
 
+    The cycle is ``C = exp(-i H1 dt) exp(-i H2 dt)``, ``C U = U exp(i theta)``.
     The diagonal gauge ``g`` (``g_0 = 1``, ``g_{k+1} = g_k conj(b_k)/|b_k|``
     for the hopping band ``b``, factor 1 where ``b_k = 0``) makes
     ``G^H H2 G`` real symmetric with hopping ``|b|``, so one real ``eigh``
     gives the complex symmetric ``E = exp(-i G^H H2 G dt)``.  With the
     half-step phases ``d = exp(-i H1 dt / 2)`` the cycle is
-    ``G D S D^* G^H`` for the complex symmetric unitary ``S = D E D``.
+    ``G D S D^* G^H`` for the complex symmetric unitary ``S = D E D``, so
+    ``S = Q exp(i Theta) Q^T`` with a real orthogonal ``Q``.
+    The cosines ``eigvalsh(Re S)`` place every eigenphase among the angles
+    ``+-arccos``; the pole ``gamma + pi`` is the midpoint of their widest
+    gap, which holds no eigenphase.  The Cayley transform of
+    ``R = exp(-i gamma) S``, ``K = (I + Re R)^{-1} Im R = tan((Theta - gamma)/2)``
+    in the basis ``Q`` (``I + Re R`` is positive definite, since no phase
+    sits at the pole), is real symmetric and monotone in the phase, so
+    one real ``eigh`` of ``K`` gives ``Q`` and
+    ``theta = gamma + 2 arctan(kappa)``.  ``U = G D Q`` is unitary by
+    construction.
     """
     if H1.half_bandwidth != 0:
         raise BandwidthTooLarge("the first Trotter factor must be diagonal")
@@ -278,36 +296,7 @@ def _hopping_factor(H1: BandedHermitian, H2: BandedHermitian, dt: float):
         g /= np.abs(g)  # keeps the gauge unitary however long the chain
     w2, V2 = _eigh(BandedHermitian(H2.size, H2.half_bandwidth, H2.diagonals[:1] + mags))
     E = (V2 * np.cos(w2 * dt)) @ V2.T - 1j * ((V2 * np.sin(w2 * dt)) @ V2.T)
-    return g, np.exp(-0.5j * dt * H1.diagonals[0].real), E
-
-
-def _trotter_cycle(H1: BandedHermitian, H2: BandedHermitian, dt: float) -> np.ndarray:
-    """Dense first-order cycle ``exp(-i H1 dt) exp(-i H2 dt)``.
-
-    Built as ``G D^2 E G^H`` from :func:`_hopping_factor`: phase masks around
-    one real LAPACK decomposition, so the cycle is unitary to machine
-    precision and all error comes from the splitting itself.
-    """
-    g, d, E = _hopping_factor(H1, H2, dt)
-    return (g * d * d)[:, None] * E * g.conj()
-
-
-def _trotter_eig(H1: BandedHermitian, H2: BandedHermitian, dt: float):
-    """Eigenphases ``theta`` and an orthonormal eigenbasis ``U`` of the Trotter cycle.
-
-    The unitary ``S = D E D`` of :func:`_hopping_factor` is complex
-    symmetric, so ``S = Q exp(i Theta) Q^T`` with a real orthogonal ``Q``.
-    The cosines ``eigvalsh(Re S)`` place every eigenphase among the angles
-    ``+-arccos``; the pole ``gamma + pi`` is the midpoint of their widest
-    gap, which holds no eigenphase.  The Cayley transform of
-    ``R = exp(-i gamma) S``, ``K = (I + Re R)^{-1} Im R = tan((Theta - gamma)/2)``
-    in the basis ``Q`` (``I + Re R`` is positive definite, since no phase
-    sits at the pole), is real symmetric and monotone in the phase, so
-    one real ``eigh`` of ``K`` gives ``Q`` and
-    ``theta = gamma + 2 arctan(kappa)``.  ``U = G D Q`` is unitary by
-    construction and ``C U = U exp(i theta)``.
-    """
-    g, d, E = _hopping_factor(H1, H2, dt)
+    d = np.exp(-0.5j * dt * H1.diagonals[0].real)
     S = np.outer(d, d) * E
     arcs = np.arccos(np.clip(np.linalg.eigvalsh(S.real), -1.0, 1.0))
     angles = np.sort(np.concatenate([-arcs, arcs]))
@@ -322,15 +311,15 @@ def _trotter_eig(H1: BandedHermitian, H2: BandedHermitian, dt: float):
 
 def evolve_trotter(H1: BandedHermitian, H2: BandedHermitian, time: float,
                    steps: int, psi: Statevector) -> Statevector:
-    """First-order product formula ``(exp(-i H1 t/s) exp(-i H2 t/s))^s``."""
+    """First-order product formula ``(exp(-i H1 t/s) exp(-i H2 t/s))^s``.
+
+    The power comes from the cycle's eigenphases (``_trotter_eig``) times ``s``.
+    """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     _check_system(H1, psi)
-    C = _trotter_cycle(H1, H2, time / steps)
-    amps = psi.amplitudes
-    for _ in range(steps):
-        amps = C @ amps
-    return Statevector(psi.n_qubits, amps)
+    theta, U = _trotter_eig(H1, H2, time / steps)
+    return Statevector(psi.n_qubits, _apply_phases(steps * theta, U, psi.amplitudes))
 
 
 def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:

@@ -299,8 +299,10 @@ def test_invalid_random_pencil_exits_2_from_flags_and_file(k, m, size, tmp_path,
     ("scan-sparsity", "--k", "-1"),
     ("scan-sparsity", "--sizes", "10", "--m", "4"),
     ("scan-commutator", "--sizes", "0"),
+    ("scan-trotter", "--time", "nan"),
+    ("scan-trotter", "--time", "inf"),
 ], ids=["steps-0", "steps-negative", "m-0", "sizes-0", "k-negative", "sizes-indivisible",
-        "commutator-sizes-0"])
+        "commutator-sizes-0", "time-nan", "time-inf"])
 def test_out_of_range_scan_flag_exits_2(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

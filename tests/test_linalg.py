@@ -12,11 +12,8 @@ from qpencil.linalg import (
     block_powers,
     cholesky_block_diagonal,
     count_nonzeros,
-    invert_block_diagonal,
     predicted_nnz,
-    solve_block_lower,
     sparsity_report,
-    sqrt_block_diagonal,
 )
 
 from conftest import cholesky_by_hand, eig2_sym
@@ -126,15 +123,15 @@ def test_cholesky_single_block_against_hand_recurrence():
 
 def test_sqrt_diagonal_case():
     vals = np.array([1.0, 4.0, 2.25])
-    S = sqrt_block_diagonal(BlockDiagonalPD.from_diagonal(vals))
+    S = block_powers(BlockDiagonalPD.from_diagonal(vals), 0.5)[0]
     assert np.allclose(S.to_dense(), np.diag(np.sqrt(vals)), atol=1e-15)
-    S_id = sqrt_block_diagonal(BlockDiagonalPD.identity(3))
+    S_id = block_powers(BlockDiagonalPD.identity(3), 0.5)[0]
     assert np.allclose(S_id.to_dense(), np.eye(3), atol=1e-15)
 
 
 def test_sqrt_2x2_block_against_eigen_oracle():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    S = sqrt_block_diagonal(BlockDiagonalPD((2,), (M,)))
+    S = block_powers(BlockDiagonalPD((2,), (M,)), 0.5)[0]
     w, V = eig2_sym(2.0, 1.0, 2.0)
     assert np.allclose(w, [1.0, 3.0])
     expected = (V * np.sqrt(w)) @ V.T
@@ -143,12 +140,12 @@ def test_sqrt_2x2_block_against_eigen_oracle():
 
 
 def test_invert_examples():
-    inv = invert_block_diagonal(BlockDiagonalPD.from_diagonal([2.0, 4.0]))
+    inv = block_powers(BlockDiagonalPD.from_diagonal([2.0, 4.0]), -1.0)[0]
     assert np.allclose(inv.to_dense(), np.diag([0.5, 0.25]), atol=1e-15)
-    inv_id = invert_block_diagonal(BlockDiagonalPD.identity(4))
+    inv_id = block_powers(BlockDiagonalPD.identity(4), -1.0)[0]
     assert np.allclose(inv_id.to_dense(), np.eye(4), atol=1e-15)
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    inv2 = invert_block_diagonal(BlockDiagonalPD((2,), (M,)))
+    inv2 = block_powers(BlockDiagonalPD((2,), (M,)), -1.0)[0]
     assert np.allclose(inv2.blocks[0], np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0,
                        atol=1e-14)
 
@@ -156,23 +153,23 @@ def test_invert_examples():
 def test_solve_block_lower_examples(rng):
     L_id = cholesky_block_diagonal(BlockDiagonalPD.identity(4))
     x = rng.uniform(-1, 1, 4)
-    assert np.allclose(solve_block_lower(L_id, x), x, atol=1e-15)
+    assert np.allclose(L_id.solve(x), x, atol=1e-15)
 
     L_diag = cholesky_block_diagonal(BlockDiagonalPD.from_diagonal([4.0, 9.0]))
-    assert np.allclose(solve_block_lower(L_diag, np.array([2.0, 3.0])), [1.0, 1.0])
+    assert np.allclose(L_diag.solve(np.array([2.0, 3.0])), [1.0, 1.0])
 
     B = pd_blocks([2, 3, 1], seed=3)
     L = cholesky_block_diagonal(B)
     e1 = np.zeros(6)
     e1[0] = 1.0
     X = L.to_dense() @ e1
-    assert np.allclose(solve_block_lower(L, X), e1, atol=1e-12)
+    assert np.allclose(L.solve(X), e1, atol=1e-12)
 
 
 def test_solve_block_lower_dimension_mismatch():
     L = cholesky_block_diagonal(BlockDiagonalPD.identity(3))
     with pytest.raises(DimensionMismatch):
-        solve_block_lower(L, np.ones(4))
+        L.solve(np.ones(4))
 
 
 # ------------------------------------------------------------------- sparsity
@@ -226,7 +223,7 @@ def test_predicted_nnz_values():
 @settings(max_examples=30, deadline=None)
 def test_sqrt_squares_back(sizes, seed):
     B = pd_blocks(sizes, seed)
-    S = sqrt_block_diagonal(B)
+    S = block_powers(B, 0.5)[0]
     err = np.linalg.norm(S.to_dense() @ S.to_dense() - B.to_dense())
     assert err <= 1e-11 * np.linalg.norm(B.to_dense())
 
@@ -244,8 +241,8 @@ def test_cholesky_reconstructs(sizes, seed):
 @settings(max_examples=30, deadline=None)
 def test_sqrt_commutes_with_inverse(sizes, seed):
     B = pd_blocks(sizes, seed)
-    left = invert_block_diagonal(sqrt_block_diagonal(B)).to_dense()
-    right = sqrt_block_diagonal(invert_block_diagonal(B)).to_dense()
+    left = block_powers(block_powers(B, 0.5)[0], -1.0)[0].to_dense()
+    right = block_powers(block_powers(B, -1.0)[0], 0.5)[0].to_dense()
     assert np.linalg.norm(left - right) <= 1e-10 * max(np.linalg.norm(left), 1.0)
 
 

@@ -30,7 +30,6 @@ from qpencil.qpe import (
     Statevector,
     _eigh,
     _fejer_readout,
-    _trotter_cycle,
     _trotter_eig,
     evolve_exact,
     evolve_trotter,
@@ -270,7 +269,7 @@ def test_trotter_validates_arguments(rng):
     with pytest.raises(BandwidthTooLarge):
         _trotter_eig(H1, random_banded_hermitian(8, 2, rng), 1.0)
     with pytest.raises(DimensionMismatch):
-        _trotter_cycle(H1, split_tridiagonal(sl_hamiltonian(9))[1], 1.0)
+        evolve_trotter(H1, split_tridiagonal(sl_hamiltonian(9))[1], 1.0, 2, psi)
 
 
 # -------------------------------------------------------------------------- qpe
@@ -455,8 +454,16 @@ def test_qpe_trotter_stays_normalized_at_benchmark_seed_1409():
     assert abs(res.distribution.sum() - 1.0) <= 1e-13
 
 
+def reference_cycle(h1, h2, dt):
+    # exp(-i h1 dt) exp(-i h2 dt) from numpy's complex eigh of the dense
+    # hopping part: no gauge, no Cayley transform, nothing shared with qpe
+    w2, V2 = np.linalg.eigh(h2.to_dense())
+    hop = (V2 * np.exp(-1j * dt * w2)) @ V2.conj().T
+    return np.exp(-1j * dt * h1.diagonals[0].real)[:, None] * hop
+
+
 def assert_cycle_eigenbasis(h1, h2, dt):
-    C = _trotter_cycle(h1, h2, dt)
+    C = reference_cycle(h1, h2, dt)
     theta, U = _trotter_eig(h1, h2, dt)
     assert np.abs(U.conj().T @ U - np.eye(h1.size)).max() <= 1e-13
     assert np.abs(C @ U - U * np.exp(1j * theta)).max() <= 1e-12
@@ -507,29 +514,36 @@ def test_trotter_eig_hard_cycles(rng):
 
 
 def test_qpe_trotter_decomposes_one_cycle(monkeypatch):
-    assert not hasattr(qpe, "_TrotterCycle") and not hasattr(qpe, "_unitary_eig")
-    calls = []
+    for gone in ("_TrotterCycle", "_unitary_eig", "_trotter_cycle", "_hopping_factor"):
+        assert not hasattr(qpe, gone)
+    time_steps = []
 
     def forbid_eig(*args, **kwargs):
         raise AssertionError("np.linalg.eig called on a Trotter path")
 
     monkeypatch.setattr(np.linalg, "eig", forbid_eig)
-    for name in ("_hopping_factor", "_trotter_eig"):
-        real = getattr(qpe, name)
-        monkeypatch.setattr(qpe, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    # analysis imports the name, so it is patched where each module looks it up
+    real = qpe._trotter_eig
+
+    def counted(h1, h2, dt):
+        time_steps.append(dt)
+        return real(h1, h2, dt)
+
+    monkeypatch.setattr(qpe, "_trotter_eig", counted)
+    monkeypatch.setattr(analysis, "_trotter_eig", counted)
     H = sl_hamiltonian(13)
     ss = gershgorin_shift_scale(H)
     run_qpe(H, np.ones(13), 9, ss, evolution="trotter", trotter_steps=16)
-    assert sorted(calls) == ["_hopping_factor", "_trotter_eig"]
+    assert time_steps == [-2.0 * np.pi / 16]
 
-    calls.clear()
+    time_steps.clear()
     h1, h2 = split_tridiagonal(ss.map_matrix(sl_hamiltonian(16)))
     evolve_trotter(h1, h2, 1.0, 8, Statevector.uniform(4))
-    assert calls == ["_hopping_factor"]
+    assert time_steps == [1.0 / 8]
 
-    calls.clear()
-    analysis.scan_trotter_error(h1, h2, 1.0, [4])
-    assert calls == ["_hopping_factor"]
+    time_steps.clear()
+    analysis.scan_trotter_error(h1, h2, 1.0, [4, 1024])
+    assert time_steps == [1.0 / 4, 1.0 / 1024]
 
 
 def readout_phases(t_bits):

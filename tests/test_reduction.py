@@ -71,11 +71,11 @@ def test_dimension_mismatch():
 
 def test_forward_transform_examples():
     B = BlockDiagonalPD.from_diagonal([4.0, 9.0])
-    from qpencil.linalg import cholesky_block_diagonal, sqrt_block_diagonal
+    from qpencil.linalg import block_powers, cholesky_block_diagonal
 
-    S = sqrt_block_diagonal(B)
+    S = block_powers(B, 0.5)[0]
     assert np.allclose(forward_transform([1.0, 1.0], S, "sqrt"), [2.0, 3.0])
-    S_id = sqrt_block_diagonal(BlockDiagonalPD.identity(2))
+    S_id = block_powers(BlockDiagonalPD.identity(2), 0.5)[0]
     v = np.array([0.3, -0.4])
     assert np.allclose(forward_transform(v, S_id, "sqrt"), v)
     L = cholesky_block_diagonal(B)
@@ -98,9 +98,9 @@ def test_round_trip_recovers_vector(route, rng):
 
 
 def test_recover_with_identity_witness_renormalizes(rng):
-    from qpencil.linalg import sqrt_block_diagonal
+    from qpencil.linalg import block_powers
 
-    S_id = sqrt_block_diagonal(BlockDiagonalPD.identity(5))
+    S_id = block_powers(BlockDiagonalPD.identity(5), 0.5)[0]
     u = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
     v = recover_eigenvector(u, S_id, "sqrt")
     assert np.abs(v - u / np.linalg.norm(u)).max() <= 1e-13
