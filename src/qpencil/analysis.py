@@ -27,7 +27,14 @@ from .linalg import (
     count_nonzeros,
     predicted_nnz,
 )
-from .qpe import _apply_phases, _eigh, _trotter_eig
+from .qpe import (
+    _apply_phases,
+    _check_steps,
+    _check_time,
+    _eigh,
+    _hopping_svd,
+    _trotter_eig,
+)
 from .reduction import reduce_cholesky, reduce_sqrt
 
 
@@ -155,12 +162,13 @@ def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
     phases in an eigenbasis: exact evolution from one decomposition of
     ``H1 + H2``, and ``s`` Trotter cycles from one decomposition of the
     cycle per step count (``_trotter_eig``), its eigenphases times ``s``.
+    The hopping factor's SVD does not depend on the step, so it is taken
+    once per scan.
     """
-    if not np.isfinite(time):
-        raise ValueError(f"time must be finite, got {time}")
+    _check_time(time)
     for steps in steps_list:
-        if steps < 1:
-            raise ValueError(f"steps must be at least 1, got {steps}")
+        _check_steps(steps)
+    hopping = _hopping_svd(H1, H2)
     H = H1.add(H2)
     trials = np.hstack([np.eye(H.size, min(8, H.size)),
                         np.full((H.size, 1), 1.0 / np.sqrt(H.size))]).astype(np.complex128)
@@ -168,7 +176,7 @@ def scan_trotter_error(H1: BandedHermitian, H2: BandedHermitian, time: float,
     exact = _apply_phases(-time * w, V, trials)
     records = []
     for steps in steps_list:
-        theta, U = _trotter_eig(H1, H2, time / steps)
+        theta, U = _trotter_eig(H1, H2, time / steps, hopping)
         amps = _apply_phases(steps * theta, U, trials)
         worst = float(np.linalg.norm(amps - exact, axis=0).max())
         records.append(ScanRecord(float(steps), worst, "trotter_error"))

@@ -42,9 +42,13 @@ Conventions (fixed here, once, for the whole package):
   cycles per power, ``C u_j = exp(i theta_j) u_j``).
 * Eigensolver.  Every dense eigendecomposition here is LAPACK ``eigh``:
   ``_eigh`` (real arithmetic when every band is real), and for the Trotter
-  cycle ``_trotter_eig``, which needs only real symmetric ones (of the
-  gauge-fixed hopping factor and of the cycle's Cayley transform, formed by
-  one real solve); no general ``eig`` is used.  The Jacobi solver in
+  cycle ``_trotter_eig``, which needs only real symmetric ones.  The
+  gauge-fixed hopping factor comes from the SVD of its half-size bipartite
+  block (``_hopping_svd``).  When a proven enclosure puts the cycle's
+  eigenphases in an arc of at most ``3 pi / 4`` (``_phase_window``), one
+  real ``eigh`` of the sine of the centred phases decomposes the cycle;
+  wider cycles take one real ``eigh`` of its Cayley transform, formed by
+  one real solve.  No general ``eig`` is used.  The Jacobi solver in
   ``qpencil.jacobi`` stays an independent oracle that this module never
   calls.
 * Randomness.  Measurement sampling uses a PCG64 generator seeded
@@ -55,6 +59,7 @@ Conventions (fixed here, once, for the whole package):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +90,18 @@ _GATHER_BLOCK = 2 ** 15
 _RANGE_PAD = 1.0 / 64.0
 # Largest dimension the dense eigendecomposition accepts.
 _MAX_DENSE = 4096
+# Longest eigenphase window of a Trotter cycle that _trotter_eig decomposes
+# through the sine of the centred phases.  Phase errors grow like
+# 1 / cos(w / 2) with the window length w: on cycles whose phases fill
+# their window (n = 64 to 1023), max |C U - U exp(i theta)| read
+# 1.9-2.3e-15 at w = 3 pi / 4 against about 1e-15 on the Cayley path, but
+# up to 4.4e-15 at 0.9 pi and 1.1e-14 at 0.99 pi.  3 pi / 4 keeps the slope
+# cos(w / 2) >= 0.38.  In phase estimation w is at most 4 pi (1 - guard)
+# over the steps per unit power (0.69 pi at five steps for the Gershgorin
+# map and default guard), and 600 seeded Sturm-Liouville draws (n = 31,
+# 63, 127) had w <= 0.56 pi at four steps; at one step (w up to 2.2 pi)
+# the Cayley path stays in use.
+_WINDOW_MAX = 0.75 * np.pi
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,7 @@ class Statevector:
                 f"{self.n_qubits} qubits require {2 ** self.n_qubits} amplitudes, "
                 f"got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:  # NaN fails too
             raise ValueError(f"statevector norm {norm} is not 1 within {_NORM_ATOL}")
         amps = np.ascontiguousarray(amps)
         amps.setflags(write=False)
@@ -175,7 +192,7 @@ class QpeResult:
                 f"{self.t_bits} ancilla bits require {2 ** self.t_bits} probabilities")
         if (dist < 0.0).any():
             raise ValueError("probabilities must be non-negative")
-        if abs(float(dist.sum()) - 1.0) > _NORM_ATOL:
+        if not abs(float(dist.sum()) - 1.0) <= _NORM_ATOL:  # NaN fails too
             raise ValueError("probabilities must sum to 1")
         dist = np.ascontiguousarray(dist)
         dist.setflags(write=False)
@@ -211,15 +228,19 @@ def gershgorin_shift_scale(H: BandedHermitian,
     return ShiftScale(lower, (1.0 - guard) / (span * (1.0 + _RANGE_PAD)), guard)
 
 
+def _check_dense(size: int) -> None:
+    if size > _MAX_DENSE:
+        raise TooManyQubits(
+            f"dense eigendecomposition is capped at dimension {_MAX_DENSE}, got {size}")
+
+
 def _eigh(H: BandedHermitian):
     """Dense LAPACK eigendecomposition: ascending ``w`` and unitary ``V``.
 
     When every band is real the dense copy is real, so the decomposition
     runs in real arithmetic and ``V`` is real orthogonal.
     """
-    if H.size > _MAX_DENSE:
-        raise TooManyQubits(
-            f"dense eigendecomposition is capped at dimension {_MAX_DENSE}, got {H.size}")
+    _check_dense(H.size)
     real = not any(band.imag.any() for band in H.diagonals)
     return np.linalg.eigh(H.to_dense(np.float64 if real else np.complex128))
 
@@ -230,6 +251,19 @@ def _check_system(H: BandedHermitian, psi: Statevector) -> None:
             f"Hamiltonian of size {H.size} against a {psi.n_qubits}-qubit register")
 
 
+def _check_time(time) -> None:
+    if not np.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
+
+
+def _check_steps(steps) -> None:
+    """A step count is an integer of at least 1; a bool is not a count."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+
+
 def _apply_phases(phases: np.ndarray, basis: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """``basis exp(i diag(phases)) basis^H amps`` for a vector or the columns of a matrix."""
     coeffs = basis.conj().T @ amps
@@ -238,6 +272,7 @@ def _apply_phases(phases: np.ndarray, basis: np.ndarray, amps: np.ndarray) -> np
 
 def evolve_exact(H: BandedHermitian, time: float, psi: Statevector) -> Statevector:
     """Apply ``exp(-i H t)`` through a dense eigendecomposition."""
+    _check_time(time)
     _check_system(H, psi)
     w, V = _eigh(H)
     return Statevector(psi.n_qubits, _apply_phases(-time * w, V, psi.amplitudes))
@@ -260,26 +295,16 @@ def split_tridiagonal(H: BandedHermitian):
     return H1, H2
 
 
-def _trotter_eig(H1: BandedHermitian, H2: BandedHermitian, dt: float):
-    """Eigenphases ``theta`` and an orthonormal eigenbasis ``U`` of the Trotter cycle.
+def _hopping_svd(H1: BandedHermitian, H2: BandedHermitian):
+    """Gauge and half-size SVD of the hopping factor of a Trotter cycle.
 
-    The cycle is ``C = exp(-i H1 dt) exp(-i H2 dt)``, ``C U = U exp(i theta)``.
     The diagonal gauge ``g`` (``g_0 = 1``, ``g_{k+1} = g_k conj(b_k)/|b_k|``
     for the hopping band ``b``, factor 1 where ``b_k = 0``) makes
-    ``G^H H2 G`` real symmetric with hopping ``|b|``, so one real ``eigh``
-    gives the complex symmetric ``E = exp(-i G^H H2 G dt)``.  With the
-    half-step phases ``d = exp(-i H1 dt / 2)`` the cycle is
-    ``G D S D^* G^H`` for the complex symmetric unitary ``S = D E D``, so
-    ``S = Q exp(i Theta) Q^T`` with a real orthogonal ``Q``.
-    The cosines ``eigvalsh(Re S)`` place every eigenphase among the angles
-    ``+-arccos``; the pole ``gamma + pi`` is the midpoint of their widest
-    gap, which holds no eigenphase.  The Cayley transform of
-    ``R = exp(-i gamma) S``, ``K = (I + Re R)^{-1} Im R = tan((Theta - gamma)/2)``
-    in the basis ``Q`` (``I + Re R`` is positive definite, since no phase
-    sits at the pole), is real symmetric and monotone in the phase, so
-    one real ``eigh`` of ``K`` gives ``Q`` and
-    ``theta = gamma + 2 arctan(kappa)``.  ``U = G D Q`` is unitary by
-    construction.
+    ``G^H H2 G`` real symmetric with hopping ``|b|``.  Its diagonal is zero,
+    so in even/odd row order it is ``[[0, Bm], [Bm^T, 0]]`` for the lower
+    bidiagonal ``Bm`` of size ``ceil(n/2) x floor(n/2)``, and one SVD
+    ``Bm = Ue diag(s) Wt`` serves every time step of ``_trotter_eig``.
+    Returns ``(g, Ue, s, Wt)``.
     """
     if H1.half_bandwidth != 0:
         raise BandwidthTooLarge("the first Trotter factor must be diagonal")
@@ -287,36 +312,115 @@ def _trotter_eig(H1: BandedHermitian, H2: BandedHermitian, dt: float):
         raise BandwidthTooLarge("the second Trotter factor must be tridiagonal")
     if H1.size != H2.size:
         raise DimensionMismatch(f"factor sizes {H1.size} and {H2.size} differ")
-    hop = H2.diagonals[1:]
-    mags = tuple(np.abs(b) for b in hop)
-    g = np.ones(H2.size, dtype=np.complex128)
-    if hop:
-        g[1:] = np.cumprod(np.divide(hop[0].conj(), mags[0], out=np.ones_like(hop[0]),
-                                     where=mags[0] > 0.0))
-        g /= np.abs(g)  # keeps the gauge unitary however long the chain
-    w2, V2 = _eigh(BandedHermitian(H2.size, H2.half_bandwidth, H2.diagonals[:1] + mags))
-    E = (V2 * np.cos(w2 * dt)) @ V2.T - 1j * ((V2 * np.sin(w2 * dt)) @ V2.T)
+    if H2.diagonals[0].any():
+        raise ValueError("the second Trotter factor must have a zero diagonal")
+    n = H2.size
+    _check_dense(n)
+    hop = H2.diagonals[1] if H2.half_bandwidth else np.zeros(n - 1, dtype=np.complex128)
+    mags = np.abs(hop)
+    g = np.ones(n, dtype=np.complex128)
+    g[1:] = np.cumprod(np.divide(hop.conj(), mags, out=np.ones_like(hop), where=mags > 0.0))
+    g /= np.abs(g)  # keeps the gauge unitary however long the chain
+    Bm = np.zeros(((n + 1) // 2, n // 2))
+    Bm[np.arange(n // 2), np.arange(n // 2)] = mags[0::2]          # bonds (2i, 2i+1)
+    Bm[np.arange(1, (n + 1) // 2), np.arange((n - 1) // 2)] = mags[1::2]  # (2i-1, 2i)
+    return (g,) + tuple(np.linalg.svd(Bm))
+
+
+def _phase_window(H1: BandedHermitian, H2: BandedHermitian, dt: float):
+    """Centre and length of an arc holding every eigenphase of the Trotter cycle.
+
+    The arc is ``[min(-dt h1) - |dt| rho, max(-dt h1) + |dt| rho]`` for the
+    diagonal ``h1`` and the Gershgorin bound ``rho`` on ``||H2||``; see
+    ``_trotter_eig`` for why it holds.
+    """
+    radii = np.zeros(H2.size + 1)
+    if H2.half_bandwidth:
+        radii[1:-1] = np.abs(H2.diagonals[1])
+    rho = float((radii[:-1] + radii[1:]).max())
+    angles = -dt * H1.diagonals[0].real
+    low, high = float(angles.min()), float(angles.max())
+    return 0.5 * (low + high), high - low + 2.0 * abs(dt) * rho
+
+
+def _trotter_eig(H1: BandedHermitian, H2: BandedHermitian, dt: float, hopping=None):
+    """Eigenphases ``theta`` and an orthonormal eigenbasis ``U`` of the Trotter cycle.
+
+    The cycle is ``C = exp(-i H1 dt) exp(-i H2 dt)``, ``C U = U exp(i theta)``.
+    ``hopping`` is ``_hopping_svd(H1, H2)``, computed here when not given.
+    From the gauge ``G`` and ``Bm = Ue diag(s) Wt``, the complex symmetric
+    ``E = exp(-i G^H H2 G dt)`` has the even/odd blocks
+    ``E_ee = Ue cos(s dt) Ue^T`` (``s`` padded with one zero when ``n`` is
+    odd), ``E_oo = Wt^T cos(s dt) Wt`` and ``E_eo = E_oe^T = -i Ue sin(s dt) Wt``.
+    With the half-step phases ``d = exp(-i H1 dt / 2)`` the cycle is
+    ``G D S D^* G^H`` for the complex symmetric unitary ``S = D E D``
+    (formed in place of ``E``), so ``S = Q exp(i Theta) Q^T`` with a real
+    orthogonal ``Q`` and ``U = G D Q`` is unitary by construction.
+
+    Window path.  Every eigenphase lies in the arc of ``_phase_window``,
+    of centre ``c`` and length ``w``, when each factor's own arc
+    (``-dt h1`` for ``D1 = exp(-i H1 dt)``; ``[-|dt| rho, |dt| rho]`` for
+    ``E``) is shorter than ``pi``: for ``C x = exp(i phi) x`` with
+    ``||x|| = 1``, ``<x, E x> = exp(i phi) <x, D1^* x>``; each inner product
+    lies in the convex hull of its factor's eigenvalue arc, which excludes
+    0, so its argument stays inside that arc, and ``phi`` lies in the sum of
+    the two arcs.  When ``w <= _WINDOW_MAX`` both arcs are shorter than ``pi``, and
+    ``Im(exp(-ic) S) = cos c Im S - sin c Re S = Q sin(Theta - c) Q^T`` is
+    real symmetric with the sine strictly increasing on the window, so one
+    real ``eigh`` of it (``S`` rotated in place) gives ``Q`` and
+    ``theta = c + arcsin(sigma)``; no pole, solve or ``K`` is needed.
+
+    Cayley path, for wider windows.  The cosines ``eigvalsh(Re S)`` place
+    every eigenphase among the angles ``+-arccos``; the pole ``gamma + pi``
+    is the midpoint of their widest gap, which holds no eigenphase.  The
+    Cayley transform of ``R = exp(-i gamma) S``,
+    ``K = (I + Re R)^{-1} Im R = tan((Theta - gamma)/2)`` in the basis ``Q``
+    (``I + Re R`` is positive definite, since no phase sits at the pole), is
+    real symmetric and monotone in the phase, so one real ``eigh`` of ``K``
+    gives ``Q`` and ``theta = gamma + 2 arctan(kappa)``.
+    """
+    g, Ue, s, Wt = _hopping_svd(H1, H2) if hopping is None else hopping
+    n, q = g.size, s.size
+    cos_s, sin_s = np.cos(s * dt), np.sin(s * dt)
+    S = np.zeros((n, n), dtype=np.complex128)
+    S.real[0::2, 0::2] = (Ue * np.append(cos_s, np.ones(n - 2 * q))) @ Ue.T
+    S.real[1::2, 1::2] = (Wt.T * cos_s) @ Wt
+    S.imag[0::2, 1::2] = (Ue[:, :q] * -sin_s) @ Wt
+    S.imag[1::2, 0::2] = S.imag[0::2, 1::2].T
     d = np.exp(-0.5j * dt * H1.diagonals[0].real)
-    S = np.outer(d, d) * E
-    arcs = np.arccos(np.clip(np.linalg.eigvalsh(S.real), -1.0, 1.0))
-    angles = np.sort(np.concatenate([-arcs, arcs]))
-    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    widest = int(np.argmax(gaps))
-    gamma = angles[widest] + 0.5 * gaps[widest] - np.pi
-    R = np.exp(-1j * gamma) * S
-    K = np.linalg.solve(np.eye(d.size) + R.real, R.imag)
-    kappa, Q = np.linalg.eigh(0.5 * (K + K.T))
-    return gamma + 2.0 * np.arctan(kappa), (g * d)[:, None] * Q
+    S *= d[:, None]
+    S *= d
+    centre, width = _phase_window(H1, H2, dt)
+    if width <= _WINDOW_MAX:
+        S *= np.exp(-1j * centre)
+        sigma, Q = np.linalg.eigh(S.imag)
+        del S
+        theta = centre + np.arcsin(sigma)
+    else:
+        arcs = np.arccos(np.clip(np.linalg.eigvalsh(S.real), -1.0, 1.0))
+        angles = np.sort(np.concatenate([-arcs, arcs]))
+        gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+        widest = int(np.argmax(gaps))
+        gamma = angles[widest] + 0.5 * gaps[widest] - np.pi
+        S *= np.exp(-1j * gamma)  # R
+        K = np.linalg.solve(np.eye(n) + S.real, S.imag)
+        del S
+        kappa, Q = np.linalg.eigh(0.5 * (K + K.T))
+        theta = gamma + 2.0 * np.arctan(kappa)
+    return theta, (g * d)[:, None] * Q
 
 
 def evolve_trotter(H1: BandedHermitian, H2: BandedHermitian, time: float,
                    steps: int, psi: Statevector) -> Statevector:
     """First-order product formula ``(exp(-i H1 t/s) exp(-i H2 t/s))^s``.
 
-    The power comes from the cycle's eigenphases (``_trotter_eig``) times ``s``.
+    ``H1`` is diagonal and ``H2`` a tridiagonal hopping part with zero
+    diagonal, as ``split_tridiagonal`` returns them; ``time`` is finite and
+    ``steps`` an integer of at least 1.  The power comes from the cycle's
+    eigenphases (``_trotter_eig``) times ``s``.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    _check_steps(steps)
+    _check_time(time)
     _check_system(H1, psi)
     theta, U = _trotter_eig(H1, H2, time / steps)
     return Statevector(psi.n_qubits, _apply_phases(steps * theta, U, psi.amplitudes))
@@ -333,6 +437,8 @@ def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"trial vector of length {vec.size} does not match the problem "
             f"size {phys_dim} or the padded dimension {2 ** n_sys}")
+    if not np.isfinite(vec).all():
+        raise ValueError("trial vector entries must be finite")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero trial vector")
@@ -438,8 +544,10 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
         raise ValueError(f"t_bits must be at least 1, got {t_bits}")
     if evolution not in ("exact", "trotter"):
         raise ValueError(f"unknown evolution mode {evolution!r}")
-    if evolution == "trotter" and (trotter_steps is None or trotter_steps < 1):
-        raise ValueError("trotter evolution requires trotter_steps >= 1")
+    if evolution == "trotter":
+        if trotter_steps is None:
+            raise ValueError("trotter evolution requires trotter_steps")
+        _check_steps(trotter_steps)
     ground = isinstance(psi0, str)
     if ground and psi0 != "ground":
         raise ValueError(f"unknown trial state {psi0!r}")

@@ -164,6 +164,18 @@ def test_trotter_scan_rejects_step_counts_below_one(steps_list):
         scan_trotter_error(h1, h2, 1.0, steps_list)
 
 
+@pytest.mark.parametrize("steps_list", [[4, 2.5], [True]], ids=["fraction", "bool"])
+def test_trotter_scan_rejects_non_integer_step_counts(steps_list, monkeypatch):
+    def forbid(*args):
+        raise AssertionError("decomposed before checking the step counts")
+
+    for name in ("_eigh", "_hopping_svd", "_trotter_eig"):
+        monkeypatch.setattr(analysis, name, forbid)
+    h1, h2 = scaled_split()
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        scan_trotter_error(h1, h2, 1.0, steps_list)
+
+
 @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
 def test_trotter_scan_rejects_non_finite_time_before_decomposing(time, monkeypatch):
     def forbid(*args):

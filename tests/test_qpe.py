@@ -86,6 +86,29 @@ def test_statevector_validation():
     assert np.allclose(np.abs(sv.amplitudes), [0.6, 0.8, 0.0, 0.0])
 
 
+def test_statevector_rejects_nan_amplitudes():
+    with pytest.raises(ValueError, match="norm"):
+        Statevector(3, np.full(8, np.nan))
+
+
+def test_qpe_result_rejects_nan_probabilities():
+    with pytest.raises(ValueError, match="sum to 1"):
+        QpeResult(2, np.full(4, np.nan), UNIT_MAP)
+
+
+@pytest.mark.parametrize("evolution", ["exact", "trotter"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qpe_rejects_non_finite_trial_vector(evolution, bad, monkeypatch):
+    H = sl_hamiltonian(13)
+    sizes = record_decompositions(monkeypatch)
+    psi0 = np.ones(13)
+    psi0[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        run_qpe(H, psi0, 6, gershgorin_shift_scale(H), evolution=evolution,
+                trotter_steps=4)
+    assert sizes == []
+
+
 # -------------------------------------------------------------------- eigh seam
 
 
@@ -270,6 +293,49 @@ def test_trotter_validates_arguments(rng):
         _trotter_eig(H1, random_banded_hermitian(8, 2, rng), 1.0)
     with pytest.raises(DimensionMismatch):
         evolve_trotter(H1, split_tridiagonal(sl_hamiltonian(9))[1], 1.0, 2, psi)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        evolve_trotter(H1, tridiag_h(np.ones(8), np.ones(7)), 1.0, 2, psi)
+
+
+def forbid_decomposition(monkeypatch):
+    def forbid(*args):
+        raise AssertionError("decomposed before checking the arguments")
+
+    for name in ("_eigh", "_hopping_svd", "_trotter_eig"):
+        monkeypatch.setattr(qpe, name, forbid)
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_evolution_rejects_non_finite_time(time, monkeypatch):
+    H = sl_hamiltonian(8)
+    H1, H2 = split_tridiagonal(H)
+    psi = Statevector.uniform(3)
+    forbid_decomposition(monkeypatch)
+    with pytest.raises(ValueError, match="time must be finite"):
+        evolve_exact(H, time, psi)
+    with pytest.raises(ValueError, match="time must be finite"):
+        evolve_trotter(H1, H2, time, 4, psi)
+
+
+@pytest.mark.parametrize("steps", [2.5, 4.0, True, "4"])
+def test_trotter_step_counts_must_be_integers(steps, monkeypatch):
+    H = sl_hamiltonian(8)
+    H1, H2 = split_tridiagonal(H)
+    forbid_decomposition(monkeypatch)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        evolve_trotter(H1, H2, 1.0, steps, Statevector.uniform(3))
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        run_qpe(H, np.ones(8), 6, gershgorin_shift_scale(H), evolution="trotter",
+                trotter_steps=steps)
+
+
+def test_trotter_accepts_numpy_integer_steps():
+    H = sl_hamiltonian(8)
+    ss = gershgorin_shift_scale(H)
+    plain = run_qpe(H, np.ones(8), 6, ss, evolution="trotter", trotter_steps=4)
+    numpy_int = run_qpe(H, np.ones(8), 6, ss, evolution="trotter",
+                        trotter_steps=np.int64(4))
+    assert np.array_equal(plain.distribution, numpy_int.distribution)
 
 
 # -------------------------------------------------------------------------- qpe
@@ -513,37 +579,112 @@ def test_trotter_eig_hard_cycles(rng):
         assert np.abs(np.sort(theta % (2.0 * np.pi)) - mirrored).max() <= 1e-12
 
 
+def window_case(kind, n, rng):
+    """Trotter factors: complex hopping, with one zero bond, or a constant diagonal."""
+    diag = np.full(n, 0.37) if kind == "constant" else rng.uniform(-1.0, 1.0, n)
+    off = rng.uniform(-1.0, 1.0, n - 1) + 1j * rng.uniform(-1.0, 1.0, n - 1)
+    if kind == "zero bond" and n > 1:
+        off[(n - 1) // 2] = 0.0
+    return split_tridiagonal(tridiag_h(diag, off) if n > 1 else diag_h(diag))
+
+
+def unit_window_dt(h1, h2):
+    """The time step at which the cycle's phase window has length 1."""
+    width = qpe._phase_window(h1, h2, 1.0)[1]
+    return 1.0 / width if width > 0.0 else 1.0
+
+
+@pytest.mark.parametrize("kind", ["complex", "zero bond", "constant"])
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 127])
+def test_cycle_phases_lie_in_the_window(kind, n, rng):
+    h1, h2 = window_case(kind, n, rng)
+    for length in (0.01, 0.5, 2.0, 3.0, 3.14):   # every window shorter than pi
+        for sign in (1.0, -1.0):
+            dt = sign * length * unit_window_dt(h1, h2)
+            centre, width = qpe._phase_window(h1, h2, dt)
+            assert width <= length * (1.0 + 1e-12)
+            phases = np.angle(np.linalg.eigvals(reference_cycle(h1, h2, dt)))
+            offsets = (phases - centre + np.pi) % (2.0 * np.pi) - np.pi
+            assert np.abs(offsets).max() <= 0.5 * width + 1e-12
+            assert_cycle_eigenbasis(h1, h2, dt)
+
+
+def count_cayley_calls(monkeypatch):
+    calls = []
+    for name in ("solve", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("kind,n", [("sl", 127), ("random", 64), ("random", 65)])
+def test_trotter_eig_on_both_sides_of_the_window_bound(kind, n, rng, monkeypatch):
+    H = trotter_case(kind, n, rng)
+    h1, h2 = split_tridiagonal(gershgorin_shift_scale(H).map_matrix(H))
+    calls = count_cayley_calls(monkeypatch)
+    bound = qpe._WINDOW_MAX * unit_window_dt(h1, h2)
+    assert_cycle_eigenbasis(h1, h2, (1.0 - 1e-9) * bound)
+    assert calls == []   # one real eigh, no pole, no solve
+    assert_cycle_eigenbasis(h1, h2, (1.0 + 1e-9) * bound)
+    assert calls == ["eigvalsh", "solve"]
+
+
+def test_trotter_eig_window_memory_peak(monkeypatch):
+    # n = 2047 at 16 steps takes the window path; 224 MiB is seven real
+    # n x n arrays
+    H = sl_hamiltonian(2047)
+    h1, h2 = split_tridiagonal(gershgorin_shift_scale(H).map_matrix(H))
+    calls = count_cayley_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        _trotter_eig(h1, h2, -2.0 * np.pi / 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak <= 224 * 2 ** 20
+
+
 def test_qpe_trotter_decomposes_one_cycle(monkeypatch):
     for gone in ("_TrotterCycle", "_unitary_eig", "_trotter_cycle", "_hopping_factor"):
         assert not hasattr(qpe, gone)
-    time_steps = []
+    time_steps, svds = [], []
 
     def forbid_eig(*args, **kwargs):
         raise AssertionError("np.linalg.eig called on a Trotter path")
 
     monkeypatch.setattr(np.linalg, "eig", forbid_eig)
-    # analysis imports the name, so it is patched where each module looks it up
-    real = qpe._trotter_eig
+    # analysis imports the names, so they are patched where each module looks them up
+    real, svd = qpe._trotter_eig, qpe._hopping_svd
 
-    def counted(h1, h2, dt):
+    def counted(h1, h2, dt, hopping=None):
         time_steps.append(dt)
-        return real(h1, h2, dt)
+        return real(h1, h2, dt, hopping)
 
-    monkeypatch.setattr(qpe, "_trotter_eig", counted)
-    monkeypatch.setattr(analysis, "_trotter_eig", counted)
+    def counted_svd(h1, h2):
+        svds.append(h2.size)
+        return svd(h1, h2)
+
+    for module in (qpe, analysis):
+        monkeypatch.setattr(module, "_trotter_eig", counted)
+        monkeypatch.setattr(module, "_hopping_svd", counted_svd)
     H = sl_hamiltonian(13)
     ss = gershgorin_shift_scale(H)
     run_qpe(H, np.ones(13), 9, ss, evolution="trotter", trotter_steps=16)
-    assert time_steps == [-2.0 * np.pi / 16]
+    assert time_steps == [-2.0 * np.pi / 16] and svds == [13]
 
     time_steps.clear()
+    svds.clear()
     h1, h2 = split_tridiagonal(ss.map_matrix(sl_hamiltonian(16)))
     evolve_trotter(h1, h2, 1.0, 8, Statevector.uniform(4))
-    assert time_steps == [1.0 / 8]
+    assert time_steps == [1.0 / 8] and svds == [16]
 
+    # the hopping SVD does not depend on the time step: once per scan
     time_steps.clear()
+    svds.clear()
     analysis.scan_trotter_error(h1, h2, 1.0, [4, 1024])
-    assert time_steps == [1.0 / 4, 1.0 / 1024]
+    assert time_steps == [1.0 / 4, 1.0 / 1024] and svds == [16]
 
 
 def readout_phases(t_bits):
@@ -626,23 +767,26 @@ def test_fejer_readout_memory_peak():
     assert peak <= 2 * qpe._READOUT_BLOCK * 8 + 64 * 2 ** t_bits
 
 
-def record_eigh_sizes(monkeypatch):
+def record_decompositions(monkeypatch):
+    """Sizes of the dense ``eigh`` calls and of the hopping SVDs, in call order."""
     sizes = []
-    real = qpe._eigh
-    monkeypatch.setattr(qpe, "_eigh", lambda H: sizes.append(H.size) or real(H))
+    eigh, svd = qpe._eigh, qpe._hopping_svd
+    monkeypatch.setattr(qpe, "_eigh", lambda H: sizes.append(("eigh", H.size)) or eigh(H))
+    monkeypatch.setattr(qpe, "_hopping_svd",
+                        lambda H1, H2: sizes.append(("svd", H2.size)) or svd(H1, H2))
     return sizes
 
 
 @pytest.mark.parametrize("evolution,trial,expected", [
-    ("exact", "uniform", [13]),
-    ("exact", "ground", [13]),
-    ("trotter", "uniform", [13]),
-    ("trotter", "ground", [13, 13]),   # the hopping factor, then the ground trial
+    ("exact", "uniform", [("eigh", 13)]),
+    ("exact", "ground", [("eigh", 13)]),
+    ("trotter", "uniform", [("svd", 13)]),
+    ("trotter", "ground", [("eigh", 13), ("svd", 13)]),   # the ground trial, then the cycle
 ])
 def test_qpe_decomposes_physical_block_only(evolution, trial, expected, monkeypatch):
     # n = 13 pads to 16 rows, but only the 13-row block is ever decomposed
     assert not hasattr(qpe, "_embed")
-    sizes = record_eigh_sizes(monkeypatch)
+    sizes = record_decompositions(monkeypatch)
     H = sl_hamiltonian(13)
     psi0 = "ground" if trial == "ground" else np.ones(13)
     res = run_qpe(H, psi0, 8, gershgorin_shift_scale(H), evolution=evolution,
@@ -658,7 +802,7 @@ def test_qpe_rejects_phase_map_outside_guard(monkeypatch):
     ss = gershgorin_shift_scale(H)
     steep = ShiftScale(ss.shift, 3.0 * ss.scale, ss.guard)
     assert steep.phase(np.linalg.eigvalsh(H.to_dense())).max() > 1.0
-    sizes = record_eigh_sizes(monkeypatch)
+    sizes = record_decompositions(monkeypatch)
     for evolution in ("exact", "trotter"):
         for psi0 in ("ground", np.ones(7)):
             with pytest.raises(DegenerateRange):
@@ -672,7 +816,7 @@ def test_qpe_rejects_phase_map_outside_guard(monkeypatch):
 def test_qpe_trotter_splits_before_decomposing(rng, monkeypatch):
     H = random_banded_hermitian(40, 2, rng)
     ss = gershgorin_shift_scale(H)
-    sizes = record_eigh_sizes(monkeypatch)
+    sizes = record_decompositions(monkeypatch)
     for psi0 in ("ground", np.ones(40)):
         with pytest.raises(BandwidthTooLarge):
             run_qpe(H, psi0, 6, ss, evolution="trotter", trotter_steps=4)
