@@ -295,6 +295,8 @@ def _cmd_qpe(args, problem):
         raise ConfigInvalid("--t-bits must be at least 1")
     if args.shots < 0:
         raise ConfigInvalid("--shots must be non-negative")
+    if args.shots > qpe._MAX_SHOTS:
+        raise ConfigInvalid(f"--shots is capped at {qpe._MAX_SHOTS}, got {args.shots}")
     if args.evolution == "trotter" and (args.trotter_steps is None or args.trotter_steps < 1):
         raise ConfigInvalid("--evolution trotter requires --trotter-steps >= 1")
     A, B, echo = _problem_matrices(problem)
@@ -431,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qpe", help="simulate phase estimation on a reduced problem")
     add_common(p, problem=True, pencil=True, route=True)
     p.add_argument("--t-bits", type=int, default=6, help="ancilla register width")
-    p.add_argument("--shots", type=int, default=0, help="samples to draw (0 = none)")
+    p.add_argument("--shots", type=int, default=0,
+                   help="samples to draw (0 = none, at most 2**24 = 16777216)")
     p.add_argument("--evolution", choices=("exact", "trotter"), default="exact")
     p.add_argument("--trotter-steps", type=int,
                    help="Trotter cycles per unit power (trotter evolution)")

@@ -6,8 +6,13 @@ symmetry), and a block-diagonal matrix keeps only its dense blocks, stacked
 into one ``(nb, m, m)`` array per distinct block size ``m``.  Block
 routines (Cholesky, square root, inverse, solves, and the congruence
 ``T A T^H`` that both pencil reductions assemble) are batched LAPACK calls
-over those stacks, with no loop over blocks or entries.  Full matrices are
-materialized only on small oracle paths.
+over those stacks, with no loop over blocks or entries.  A stack of 1x1
+blocks is a vector of scalars and is handled elementwise, with no LAPACK
+call: square roots, powers and divisions, and for a ``T`` made only of 1x1
+blocks the congruence is the band scaling ``t_i A_ij conj(t_j)``.  So a
+diagonal ``B``, as in a Sturm-Liouville pencil, costs no more than the
+standard problem.  Full matrices are materialized only on small oracle
+paths.
 """
 
 from __future__ import annotations
@@ -224,12 +229,18 @@ class BlockDiagonal:
             M[rows[:, :, None], rows[:, None, :]] = stack
         return M
 
-    def _apply(self, op, x: np.ndarray) -> np.ndarray:
-        """``op(stack, segments)`` on every size group of ``x``, shape (size,) or (size, r)."""
+    def _apply(self, op, scalar_op, x: np.ndarray) -> np.ndarray:
+        """``op(stack, segments)`` on every size group of ``x``, shape (size,) or (size, r).
+
+        The 1x1 group takes ``scalar_op(entries, segments)`` elementwise instead.
+        """
         y = np.empty_like(x)
         for (_, rows), stack in zip(self._groups, self._stacks):
             seg = x[rows]
-            y[rows] = op(stack, seg.reshape(*rows.shape, -1)).reshape(seg.shape)
+            if stack.shape[1] == 1:
+                y[rows] = scalar_op(stack.reshape(seg.shape[:2] + (1,) * (seg.ndim - 2)), seg)
+            else:
+                y[rows] = op(stack, seg.reshape(*rows.shape, -1)).reshape(seg.shape)
         return y
 
     def matvec(self, x) -> np.ndarray:
@@ -237,19 +248,20 @@ class BlockDiagonal:
         if x.shape != (self.size,):
             raise DimensionMismatch(
                 f"vector of length {x.shape} against matrix of size {self.size}")
-        return self._apply(np.matmul, x)
+        return self._apply(np.matmul, np.multiply, x)
 
     def solve(self, X) -> np.ndarray:
         """Solve ``M Y = X`` block by block with batched LAPACK solves.
 
-        ``X`` may be a vector or a matrix of stacked right-hand sides.
+        ``X`` may be a vector or a matrix of stacked right-hand sides; rows
+        of 1x1 blocks are divided by their entry.
         """
         X = np.asarray(X, dtype=np.complex128)
         if X.shape[:1] != (self.size,):
             raise DimensionMismatch(
                 f"right-hand side has leading dimension {X.shape[:1]}, "
                 f"matrix has size {self.size}")
-        return self._apply(np.linalg.solve, X)
+        return self._apply(np.linalg.solve, lambda d, seg: seg / d, X)
 
     def adjoint(self) -> "BlockDiagonal":
         """Conjugate transpose, block by block."""
@@ -258,7 +270,8 @@ class BlockDiagonal:
     def inverse(self) -> "BlockDiagonal":
         """Blockwise inverse; only the ``m x m`` block inverses are formed."""
         return BlockDiagonal._like(
-            self, [np.linalg.solve(s, np.eye(s.shape[1])) for s in self._stacks])
+            self, [1.0 / s if s.shape[1] == 1 else np.linalg.solve(s, np.eye(s.shape[1]))
+                   for s in self._stacks])
 
 
 class BlockDiagonalPD(BlockDiagonal):
@@ -319,17 +332,25 @@ class SparsityReport:
 def _cholesky(stack: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a stack of Hermitian blocks, one LAPACK call.
 
-    Raises :class:`NotPositiveDefinite` when a pivot is non-positive or
-    falls at or below 1e-14 times the largest diagonal entry of its block.
+    A stack of 1x1 blocks takes the square roots of the real parts, as
+    LAPACK does, with no call.  Raises :class:`NotPositiveDefinite` when a
+    pivot is non-positive (or NaN) or falls at or below 1e-14 times the
+    largest diagonal entry of its block.
     """
-    try:
-        L = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"a block of size {stack.shape[1]} has a non-positive pivot") from exc
+    if stack.shape[1] == 1:
+        d = stack.real
+        if not (d > 0.0).all():  # NaN fails too
+            raise NotPositiveDefinite("a block of size 1 has a non-positive pivot")
+        L = np.sqrt(d).astype(np.complex128)
+    else:
+        try:
+            L = np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                f"a block of size {stack.shape[1]} has a non-positive pivot") from exc
     pivots = np.diagonal(L, axis1=1, axis2=2).real ** 2
     floor = _PIVOT_RTOL * np.diagonal(stack, axis1=1, axis2=2).real.max(axis=1)
-    low = pivots <= floor[:, None]
+    low = ~(pivots > floor[:, None])  # NaN, which LAPACK lets through, fails too
     if low.any():
         b, j = np.argwhere(low)[0]
         raise NotPositiveDefinite(
@@ -350,13 +371,15 @@ def block_powers(B: BlockDiagonalPD, *exponents: float) -> tuple:
     """``B^p`` for each exponent ``p``, from one eigendecomposition of ``B``.
 
     Each stack of blocks is diagonalized once by a batched LAPACK call, and
-    every power is rebuilt from that decomposition.  Raises
+    every power is rebuilt from that decomposition; a 1x1 block is its own
+    eigenvalue, so its powers are ``w ** p`` with no call.  Raises
     :class:`NotPositiveDefinite` when a block eigenvalue lies at or below
     1e-14 times the largest eigenvalue of its block.
     """
     powers = [[] for _ in exponents]
     for stack in B._stacks:
-        w, V = np.linalg.eigh(stack)
+        scalar = stack.shape[1] == 1
+        w, V = (stack[:, 0].real, None) if scalar else np.linalg.eigh(stack)
         floor = np.maximum(_PIVOT_RTOL * w[:, -1], 0.0)
         low = w[:, 0] <= floor
         if low.any():
@@ -364,8 +387,11 @@ def block_powers(B: BlockDiagonalPD, *exponents: float) -> tuple:
             raise NotPositiveDefinite(
                 f"block eigenvalue {w[b, 0]:.3e} at or below floor {floor[b]:.3e}")
         for out, p in zip(powers, exponents):
-            M = (V * w[:, None, :] ** p) @ _adjoint(V)
-            out.append(0.5 * (M + _adjoint(M)))
+            if scalar:
+                out.append(w[:, :, None] ** p)
+            else:
+                M = (V * w[:, None, :] ** p) @ _adjoint(V)
+                out.append(0.5 * (M + _adjoint(M)))
     return tuple(BlockDiagonalPD._like(B, stacks) for stacks in powers)
 
 
@@ -378,11 +404,19 @@ def congruence(T: BlockDiagonal, A: BandedHermitian) -> BandedHermitian:
     index arrays, multiplied in one batched product, and the entries on and
     above the diagonal are scattered into the bands.  The result has
     half-bandwidth ``k + 2 (m - 1)``, capped at ``size - 1``, and entries
-    below the structural-zero threshold are dropped.
+    below the structural-zero threshold are dropped.  When every block is
+    1x1 (``m = 1``) the product is the band scaling
+    ``t[:n-d] * A_d * conj(t[d:])``, whose diagonal ``|t|**2 A_0`` is kept
+    exactly real.
     """
     if A.size != T.size:
         raise DimensionMismatch(f"A has size {A.size}, T has size {T.size}")
     n, k = A.size, A.half_bandwidth
+    if len(T.block_sizes) == n:  # every block is 1x1
+        t = T._stacks[0][:, 0, 0]
+        bands = [(t * A.diagonals[0] * np.conj(t)).real]
+        bands += [t[:n - d] * A.diagonals[d] * np.conj(t[d:]) for d in range(1, k + 1)]
+        return BandedHermitian(n, k, tuple(bands)).drop_small(NNZ_RTOL)
     sizes = np.array(T.block_sizes)
     nb, m = sizes.size, int(sizes.max())
     kk = min(n - 1, k + 2 * (m - 1))

@@ -42,7 +42,10 @@ Conventions (fixed here, once, for the whole package):
   cycles per power, ``C u_j = exp(i theta_j) u_j``).
 * Eigensolver.  Every dense eigendecomposition here is LAPACK ``eigh``:
   ``_eigh`` (real arithmetic when every band is real), and for the Trotter
-  cycle ``_trotter_eig``, which needs only real symmetric ones.  The
+  cycle ``_trotter_eig``, which needs only real symmetric ones.  Exact
+  phase estimation of the ground trial needs only the lowest eigenvalue,
+  so it takes the values-only ``eigvalsh`` of the same dense copy
+  (``_eigvalsh``) and forms no eigenvector.  The
   gauge-fixed hopping factor comes from the SVD of its half-size bipartite
   block (``_hopping_svd``).  When a proven enclosure puts the cycle's
   eigenphases in an arc of at most ``3 pi / 4`` (``_phase_window``), one
@@ -78,6 +81,11 @@ DEFAULT_GUARD = 0.125
 
 #: Total qubit budget, system plus ancilla register, of a simulated run.
 MAX_QUBITS = 24
+
+# Most measurement samples one run draws.  Sampling and serializing cost
+# about 90 bytes per shot at the peak (CLI qpe with JSON output: 131 MB peak
+# RSS at 10**6 shots, 399 MB at 4 * 10**6), so 2**24 shots stay near 1.5 GB.
+_MAX_SHOTS = 2 ** 24
 
 _NORM_ATOL = 1e-10
 # Largest eigenphase-by-outcome kernel block the readout evaluates at once.
@@ -234,15 +242,25 @@ def _check_dense(size: int) -> None:
             f"dense eigendecomposition is capped at dimension {_MAX_DENSE}, got {size}")
 
 
+def _dense(H: BandedHermitian) -> np.ndarray:
+    """Dense copy for LAPACK, real when every band is real."""
+    _check_dense(H.size)
+    real = not any(band.imag.any() for band in H.diagonals)
+    return H.to_dense(np.float64 if real else np.complex128)
+
+
 def _eigh(H: BandedHermitian):
     """Dense LAPACK eigendecomposition: ascending ``w`` and unitary ``V``.
 
     When every band is real the dense copy is real, so the decomposition
     runs in real arithmetic and ``V`` is real orthogonal.
     """
-    _check_dense(H.size)
-    real = not any(band.imag.any() for band in H.diagonals)
-    return np.linalg.eigh(H.to_dense(np.float64 if real else np.complex128))
+    return np.linalg.eigh(_dense(H))
+
+
+def _eigvalsh(H: BandedHermitian) -> np.ndarray:
+    """Ascending eigenvalues alone, from the dense copy that ``_eigh`` uses."""
+    return np.linalg.eigvalsh(_dense(H))
 
 
 def _check_system(H: BandedHermitian, psi: Statevector) -> None:
@@ -426,6 +444,16 @@ def evolve_trotter(H1: BandedHermitian, H2: BandedHermitian, time: float,
     return Statevector(psi.n_qubits, _apply_phases(steps * theta, U, psi.amplitudes))
 
 
+def _unit_trial(vec: np.ndarray) -> np.ndarray:
+    """A raw trial vector scaled to unit norm; non-finite and zero vectors raise."""
+    if not np.isfinite(vec).all():
+        raise ValueError("trial vector entries must be finite")
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero trial vector")
+    return vec / norm
+
+
 def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
     if isinstance(psi0, Statevector):
         if psi0.n_qubits != n_sys:
@@ -437,13 +465,8 @@ def _system_state(psi0, n_sys: int, phys_dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"trial vector of length {vec.size} does not match the problem "
             f"size {phys_dim} or the padded dimension {2 ** n_sys}")
-    if not np.isfinite(vec).all():
-        raise ValueError("trial vector entries must be finite")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero trial vector")
     amps = np.zeros(2 ** n_sys, dtype=np.complex128)
-    amps[:vec.size] = vec / norm
+    amps[:vec.size] = _unit_trial(vec)
     return amps
 
 
@@ -519,7 +542,9 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
     exact evolution, or of its Trotter cycle (``_trotter_eig``), whose
     eigenphases times ``trotter_steps`` are the phases.  The padding rows
     are one more readout entry, at phase ``1 - guard/2``.  No padded matrix
-    and no joint ancilla-by-system state is formed.
+    and no joint ancilla-by-system state is formed.  Exact evolution of the
+    ground trial reads the single lowest phase with weight 1, from the
+    eigenvalues alone (``_eigvalsh``); no eigenvector is formed.
 
     Parameters
     ----------
@@ -528,8 +553,10 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
     psi0 : Statevector, array_like or "ground"
         Trial state on the padded register, a raw vector of the physical
         dimension (zero-padded and normalized), or ``"ground"`` for the
-        lowest eigenvector of the phase-mapped ``H``, taken from the
-        decomposition that the exact readout uses.
+        lowest eigenvector of the phase-mapped ``H``.  With exact evolution
+        the ground trial puts all weight on the lowest phase, which is all
+        the readout needs; with Trotter evolution its vector comes from
+        ``_eigh`` and is expanded in the cycle's eigenbasis.
     t_bits : int
         Ancilla width; outcomes resolve phases to ``2**-t_bits``.
     shift_scale : ShiftScale
@@ -564,6 +591,9 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
 
     state = None if ground else _system_state(psi0, n_sys, H.size)
     H_phase = shift_scale.map_matrix(H)  # spectrum equals the mapped phases
+    if ground and evolution == "exact":  # all weight on the lowest phase
+        phases = _eigvalsh(H_phase)[:1]
+        return QpeResult(t_bits, _fejer_readout(phases, np.ones(1), t_bits), shift_scale)
     if evolution == "trotter":
         h1, h2 = split_tridiagonal(H_phase)
     if ground or evolution == "exact":
@@ -574,10 +604,7 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
         # exp(+2 pi i H_phase) as s cycles of time -2 pi / s
         theta, basis = _trotter_eig(h1, h2, -2.0 * np.pi / trotter_steps)
         phases = trotter_steps * theta / (2.0 * np.pi) % 1.0
-    if ground and evolution == "exact":  # all weight on eigenvector 0
-        phases, weights = phases[:1], np.ones(1)
-    else:
-        weights = np.abs(basis.conj().T @ state[:H.size]) ** 2
+    weights = np.abs(basis.conj().T @ state[:H.size]) ** 2
     pad_mass = np.linalg.norm(state[H.size:]) ** 2
     if pad_mass > 0.0:  # the padding rows share the phase 1 - guard/2
         phases = np.append(phases, 1.0 - shift_scale.guard / 2.0)
@@ -588,10 +615,13 @@ def run_qpe(H: BandedHermitian, psi0, t_bits: int, shift_scale: ShiftScale,
 def sample_outcomes(result: QpeResult, shots: int, seed: int) -> np.ndarray:
     """Draw ancilla outcomes by inverse transform from the exact distribution.
 
-    A fixed seed pins the entire sequence; the generator is PCG64.
+    A fixed seed pins the entire sequence; the generator is PCG64.  At most
+    ``2**24`` shots are drawn per call.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots are capped at {_MAX_SHOTS}, got {shots}")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(result.distribution)
     cdf[-1] = max(cdf[-1], 1.0)
@@ -610,7 +640,9 @@ def overlap_probabilities(psi0, H: BandedHermitian):
     """Eigenvalues of ``H`` with the trial state's overlap on each eigenvector.
 
     These overlaps are exactly the weights with which phase estimation
-    distributes its outcome mass across eigenphases.
+    distributes its outcome mass across eigenphases.  A raw vector is
+    normalized first, as ``run_qpe`` does, so the weights sum to 1;
+    non-finite entries and the zero vector raise ``ValueError``.
     """
     if isinstance(psi0, Statevector):
         vec = psi0.amplitudes
@@ -619,6 +651,8 @@ def overlap_probabilities(psi0, H: BandedHermitian):
     if vec.shape != (H.size,):
         raise DimensionMismatch(
             f"trial vector of shape {vec.shape} against dimension {H.size}")
+    if not isinstance(psi0, Statevector):
+        vec = _unit_trial(vec)
     w, V = _eigh(H)
     probs = np.abs(V.conj().T @ vec) ** 2
     return [(float(lam), float(p)) for lam, p in zip(w, probs)]

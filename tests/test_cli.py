@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,23 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "ConfigInvalid" in err
 
 
+def test_qpe_shots_above_cap_exit_2_before_allocating(tmp_path, capsys):
+    path = write_problem(tmp_path, UNIT_PROBLEM)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "qpe", "--problem", path, "--t-bits", "4",
+                                 "--shots", str(2 ** 24 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "ConfigInvalid" in err and "--shots is capped at 16777216" in err
+    assert peak < 10 * 2 ** 20
+    with pytest.raises(SystemExit):
+        main(["qpe", "--help"])
+    assert "at most 2**24" in " ".join(capsys.readouterr().out.split())
+
+
 def test_qpe_uniform_trial(tmp_path, capsys):
     path = write_problem(tmp_path, UNIT_PROBLEM)
     code, out, _ = run_cli(capsys, "qpe", "--problem", path, "--t-bits", "5",
@@ -356,9 +374,11 @@ def test_qpe_uniform_trial(tmp_path, capsys):
 
 @pytest.mark.parametrize("route", ["cholesky", "sqrt"])
 def test_qpe_ground_trial_decomposes_once(route, tmp_path, capsys, monkeypatch):
-    eigh_sizes, jacobi_dims = [], []
-    real_eigh = qpe._eigh
-    monkeypatch.setattr(qpe, "_eigh", lambda H: eigh_sizes.append(H.size) or real_eigh(H))
+    # Exact ground QPE reads only the lowest eigenvalue: one values-only call
+    decompositions, jacobi_dims = [], []
+    for name in ("_eigh", "_eigvalsh"):
+        monkeypatch.setattr(qpe, name, lambda H, _name=name, _real=getattr(qpe, name):
+                            decompositions.append((_name, H.size)) or _real(H))
     monkeypatch.setattr(analysis, "eigh_jacobi",
                         lambda M, *args, _real=analysis.eigh_jacobi, **kwargs:
                         jacobi_dims.append(len(M)) or _real(M, *args, **kwargs))
@@ -367,15 +387,15 @@ def test_qpe_ground_trial_decomposes_once(route, tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "qpe", "--problem", path, "--reduction", route,
                          "--t-bits", "6", "--trial", "ground")
     assert code == 0
-    assert eigh_sizes == [15]
+    assert decompositions == [("_eigvalsh", 15)]
     # Jacobi is the oracle only: neither route's block routines call it
     assert jacobi_dims == []
 
-    eigh_sizes.clear()
+    decompositions.clear()
     jacobi_dims.clear()
     code, _, _ = run_cli(capsys, "spectrum", "--problem", path)
     assert code == 0
-    assert eigh_sizes == [] and jacobi_dims == [15]
+    assert decompositions == [] and jacobi_dims == [15]
 
 
 @pytest.mark.parametrize("argv", [("qpe", "--t-bits", "5", "--shots", "4"),

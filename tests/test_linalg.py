@@ -166,6 +166,56 @@ def test_solve_block_lower_examples(rng):
     assert np.allclose(L.solve(X), e1, atol=1e-12)
 
 
+def record_lapack_shapes(monkeypatch):
+    """Shapes of the arrays passed to ``numpy.linalg`` eigh, cholesky and solve."""
+    shapes = []
+    for name in ("eigh", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _real=getattr(np.linalg, name), **kwargs:
+                            shapes.append(np.shape(a)) or _real(a, *args, **kwargs))
+    return shapes
+
+
+@pytest.mark.parametrize("sizes", [(1,) * 6, (4, 4, 1), (1, 3, 1, 2)])
+def test_scalar_blocks_are_elementwise_and_match_dense(sizes, rng, monkeypatch):
+    B = pd_blocks(sizes, seed=11)
+    Bd = B.to_dense()
+    x = rng.uniform(-1, 1, B.size) + 1j * rng.uniform(-1, 1, B.size)
+    X = rng.uniform(-1, 1, (B.size, 3))
+    w, V = np.linalg.eigh(Bd)
+    sqrt_ref, inv_sqrt_ref = ((V * w ** p) @ V.conj().T for p in (0.5, -0.5))
+    L_ref = np.linalg.cholesky(Bd)
+    refs = (np.linalg.inv(Bd), Bd @ x, np.linalg.solve(Bd, x), np.linalg.solve(Bd, X),
+            L_ref, np.linalg.inv(L_ref), sqrt_ref, inv_sqrt_ref)
+    shapes = record_lapack_shapes(monkeypatch)
+    L = cholesky_block_diagonal(B)
+    S, S_inv = block_powers(B, 0.5, -0.5)
+    got = (B.inverse().to_dense(), B.matvec(x), B.solve(x), B.solve(X),
+           L.to_dense(), L.inverse().to_dense(), S.to_dense(), S_inv.to_dense())
+    for value, ref in zip(got, refs):
+        assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the 1x1 stack never reaches LAPACK; the wider stacks still do
+    assert all(shape[-2:] != (1, 1) for shape in shapes)
+    assert bool(shapes) == (max(sizes) > 1)
+
+
+def test_scalar_block_powers_and_factors_are_exact():
+    d = np.array([4.0, 2.0, 1e-300, 3e300, 0.7])
+    B = BlockDiagonalPD.from_diagonal(d)
+    S, S_inv = (M.to_dense().diagonal() for M in block_powers(B, 0.5, -0.5))
+    assert (S == np.sqrt(d)).all() and (S_inv == d ** -0.5).all()
+    assert (cholesky_block_diagonal(B).to_dense().diagonal() == np.sqrt(d)).all()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("sizes,index", [((1, 1, 1), 1), ((2, 1, 2), 1), ((2, 1, 2), 2)])
+def test_non_positive_or_nan_pivot_rejected(bad, sizes, index):
+    blocks = [np.array(blk) for blk in pd_blocks(sizes, seed=5).blocks]
+    blocks[index][-1, -1] = bad
+    with pytest.raises(NotPositiveDefinite):
+        BlockDiagonalPD(sizes, tuple(blocks))
+
+
 def test_solve_block_lower_dimension_mismatch():
     L = cholesky_block_diagonal(BlockDiagonalPD.identity(3))
     with pytest.raises(DimensionMismatch):

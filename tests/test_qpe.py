@@ -301,7 +301,7 @@ def forbid_decomposition(monkeypatch):
     def forbid(*args):
         raise AssertionError("decomposed before checking the arguments")
 
-    for name in ("_eigh", "_hopping_svd", "_trotter_eig"):
+    for name in ("_eigh", "_eigvalsh", "_hopping_svd", "_trotter_eig"):
         monkeypatch.setattr(qpe, name, forbid)
 
 
@@ -768,10 +768,12 @@ def test_fejer_readout_memory_peak():
 
 
 def record_decompositions(monkeypatch):
-    """Sizes of the dense ``eigh`` calls and of the hopping SVDs, in call order."""
+    """Sizes of the dense ``eigh`` and ``eigvalsh`` calls and of the hopping SVDs, in call order."""
     sizes = []
-    eigh, svd = qpe._eigh, qpe._hopping_svd
+    eigh, eigvalsh, svd = qpe._eigh, qpe._eigvalsh, qpe._hopping_svd
     monkeypatch.setattr(qpe, "_eigh", lambda H: sizes.append(("eigh", H.size)) or eigh(H))
+    monkeypatch.setattr(qpe, "_eigvalsh",
+                        lambda H: sizes.append(("eigvalsh", H.size)) or eigvalsh(H))
     monkeypatch.setattr(qpe, "_hopping_svd",
                         lambda H1, H2: sizes.append(("svd", H2.size)) or svd(H1, H2))
     return sizes
@@ -779,7 +781,7 @@ def record_decompositions(monkeypatch):
 
 @pytest.mark.parametrize("evolution,trial,expected", [
     ("exact", "uniform", [("eigh", 13)]),
-    ("exact", "ground", [("eigh", 13)]),
+    ("exact", "ground", [("eigvalsh", 13)]),   # the lowest phase alone
     ("trotter", "uniform", [("svd", 13)]),
     ("trotter", "ground", [("eigh", 13), ("svd", 13)]),   # the ground trial, then the cycle
 ])
@@ -793,6 +795,19 @@ def test_qpe_decomposes_physical_block_only(evolution, trial, expected, monkeypa
                   trotter_steps=4)
     assert sizes == expected
     assert abs(res.distribution.sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("t_bits", [6, 12])
+@pytest.mark.parametrize("H", [sl_hamiltonian(13), sl_hamiltonian(127, (1.0, -0.5, 2.0)),
+                               random_banded_hermitian(40, 2, np.random.default_rng(9))],
+                         ids=["sl-13", "sl-127", "complex-k2"])
+def test_exact_ground_from_eigenvalues_matches_eigenvector_path(H, t_bits):
+    ss = gershgorin_shift_scale(H)
+    ground = _eigh(ss.map_matrix(H))[1][:, 0]
+    via_vector = run_qpe(H, ground, t_bits, ss).distribution
+    values_only = run_qpe(H, "ground", t_bits, ss).distribution
+    assert np.abs(values_only - via_vector).max() <= 1e-11
+    assert np.argmax(values_only) == np.argmax(via_vector)
 
 
 def test_qpe_rejects_phase_map_outside_guard(monkeypatch):
@@ -857,6 +872,18 @@ def test_qpe_trial_vector_length_checked():
 # ----------------------------------------------------------------- measurement
 
 
+def test_sampling_caps_shots_before_allocating():
+    res = QpeResult(2, np.array([0.25, 0.25, 0.25, 0.25]), UNIT_MAP)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at 16777216"):
+            sample_outcomes(res, 2 ** 24 + 1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_sampling_deterministic_distribution():
     res = QpeResult(2, np.array([0.0, 1.0, 0.0, 0.0]), UNIT_MAP)
     samples = sample_outcomes(res, 50, seed=11)
@@ -915,6 +942,28 @@ def test_overlap_probabilities_examples(rng):
     pairs = overlap_probabilities(psi, H)
     assert pairs[0][1] == pytest.approx(0.5, abs=1e-10)
     assert pairs[3][1] == pytest.approx(0.5, abs=1e-10)
+
+
+def test_overlap_probabilities_normalize_a_raw_vector(rng):
+    H = BandedHermitian.from_dense(random_hermitian(4, rng), 3)
+    raw = np.array([1.0, 2.0, -1.0, 0.5j])
+    probs = np.array([p for _, p in overlap_probabilities(raw, H)])
+    assert probs.sum() == pytest.approx(1.0, abs=1e-13)
+    unit = np.array([p for _, p in overlap_probabilities(Statevector.from_vector(raw), H)])
+    assert np.abs(probs - unit).max() <= 1e-15
+    # unnormalized, np.ones(3) gave weights summing to 3
+    pairs = overlap_probabilities(np.ones(3), tridiag_h([0.1, 0.2, 0.3], [0.05, 0.05]))
+    assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("vec,match", [(np.zeros(4), "zero"),
+                                       (np.array([1.0, np.nan, 0.0, 0.0]), "finite"),
+                                       (np.array([1.0, 0.0, np.inf, 0.0]), "finite")],
+                         ids=["zero", "nan", "inf"])
+def test_overlap_probabilities_reject_unnormalizable_vectors(vec, match, monkeypatch):
+    forbid_decomposition(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        overlap_probabilities(vec, diag_h([0.1, 0.2, 0.3, 0.4]))
 
 
 def test_overlaps_match_qpe_masses_for_representable_phases():

@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpencil.analysis import oracle_eigensolve, random_generalized_pair
-from qpencil.errors import DimensionMismatch
+from qpencil.discretize import (
+    Coefficient,
+    GridSpec,
+    SturmLiouvilleSpec,
+    build_sl_generalized,
+    build_sl_reduced,
+)
+from qpencil.errors import DimensionMismatch, NotPositiveDefinite
 from qpencil.jacobi import eigh_jacobi
-from qpencil.linalg import BandedHermitian, BlockDiagonalPD, count_nonzeros
+from qpencil.linalg import BandedHermitian, BlockDiagonal, BlockDiagonalPD, count_nonzeros
 from qpencil.reduction import (
     check_b_orthogonality,
     forward_transform,
@@ -177,6 +184,61 @@ def test_blockwise_assembly_matches_dense_reference(route, sizes, k, rng):
     ref = dense_pencil_reduction(A, B, route)
     scale = np.abs(ref).max()
     assert np.abs(got.hamiltonian.to_dense() - ref).max() <= 1e-11 * scale
+
+
+SL_SPEC = SturmLiouvilleSpec(Coefficient.polynomial([1.0, 0.5]),
+                             Coefficient.polynomial([0.0, 2.0]),
+                             Coefficient.polynomial([1.0, 1.0, 1.0]))
+
+
+def scalar_block_pencils():
+    """Pencils whose ``B`` has 1x1 blocks only: Sturm-Liouville and random."""
+    for n in (1, 2, 31, 127):
+        yield f"sl-{n}", build_sl_generalized(SL_SPEC, GridSpec(n))
+    for k in (1, 2):
+        yield f"random-k{k}-m1", random_generalized_pair(40, k, 1, seed=3)
+
+
+@pytest.mark.parametrize("route", ["sqrt", "cholesky"])
+@pytest.mark.parametrize("name,pencil", list(scalar_block_pencils()))
+def test_scalar_block_reduction_matches_dense_without_lapack(route, name, pencil,
+                                                             monkeypatch):
+    A, B = pencil
+    ref = dense_pencil_reduction(A, B, route)
+    for fn in ("eigh", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, fn, lambda *args, _fn=fn, **kwargs:
+                            pytest.fail(f"numpy.linalg.{_fn} called on 1x1 blocks"))
+    H = (reduce_sqrt if route == "sqrt" else reduce_cholesky)(A, B).hamiltonian
+    assert H.half_bandwidth == A.half_bandwidth
+    assert np.abs(H.diagonals[0].imag).max() == 0.0
+    assert np.abs(H.to_dense() - ref).max() <= 1e-13 * np.abs(ref).max()
+    if name.startswith("sl-"):
+        direct = build_sl_reduced(SL_SPEC, GridSpec(A.size))
+        for got, want in zip(H.diagonals, direct.diagonals):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("route", ["sqrt", "cholesky"])
+@pytest.mark.parametrize("size,k", [(9, 1), (9, 2), (257, 1)])
+def test_mixed_layout_with_scalar_block_matches_dense(route, size, k):
+    A, B = random_generalized_pair(size, k, 4, seed=8)
+    assert B.block_sizes[-1] == 1 and set(B.block_sizes) == {1, 4}
+    H = (reduce_sqrt if route == "sqrt" else reduce_cholesky)(A, B).hamiltonian
+    ref = dense_pencil_reduction(A, B, route)
+    assert H.half_bandwidth == k + 6
+    assert np.abs(H.to_dense() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("route", ["sqrt", "cholesky"])
+@pytest.mark.parametrize("bad", [0.0, -2.0, np.nan])
+def test_scalar_weight_not_positive_rejected_on_both_routes(route, bad):
+    weights = [1.0, bad, 3.0]
+    with pytest.raises(NotPositiveDefinite):
+        BlockDiagonalPD.from_diagonal(weights)
+    # a block-diagonal B that skipped the positive-definiteness witness
+    B = BlockDiagonal((1, 1, 1), [np.array([[w]]) for w in weights])
+    with pytest.raises(NotPositiveDefinite):
+        (reduce_sqrt if route == "sqrt" else reduce_cholesky)(banded(np.eye(3), 0), B)
 
 
 def band_block(A, r0, r1, c0, c1):
