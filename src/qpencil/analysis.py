@@ -134,8 +134,11 @@ def scan_commutator_norm(potential, sizes) -> list:
     per-cell increment stays fixed as the grid refines.  That is the regime
     in which the commutator tracks the kinetic norm's quadratic growth; a
     potential sampled at the physical coordinates of a fixed smooth profile
-    varies by O(dx) per cell and would grow only linearly.
+    varies by O(dx) per cell and would grow only linearly.  Every size must
+    be at least 2, so that the grid has a neighbouring pair.
     """
+    if any(size < 2 for size in sizes):
+        raise ValueError(f"commutator scan needs sizes of at least 2, got {list(sizes)}")
     records = []
     for size in sizes:
         if size > 1024:

@@ -97,6 +97,14 @@ def test_commutator_scan_constant_potential_vanishes():
     assert all(r.observable <= 1e-12 for r in records)
 
 
+@pytest.mark.parametrize("sizes", [[1], [8, 1], [0]])
+def test_commutator_scan_rejects_sizes_below_two_before_building(sizes):
+    calls = []
+    with pytest.raises(ValueError, match="at least 2"):
+        scan_commutator_norm(lambda s: calls.append(s) or s, sizes)
+    assert calls == []
+
+
 def test_commutator_scan_linear_potential_quadratic_slope():
     sizes = [8, 16, 32, 64, 128]
     records = scan_commutator_norm(lambda s: s, sizes)

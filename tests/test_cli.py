@@ -1,13 +1,15 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qpencil import analysis, cli, linalg, qpe
 from qpencil.cli import _to_json, load_problem_spec, main, RandomPencilParams
-from qpencil.discretize import GridSpec, SturmLiouvilleSpec
+from qpencil.discretize import GridSpec, SturmLiouvilleSpec, build_sl_generalized
 from qpencil.errors import NonPositiveCoefficient, ParseError
+from qpencil.reduction import reduce_sqrt
 
 UNIT_PROBLEM = '{"p":{"constant":1},"q":{"constant":0},"r":{"constant":1},"n":15}'
 
@@ -292,6 +294,17 @@ def test_invalid_random_pencil_exits_2_from_flags_and_file(k, m, size, tmp_path,
     assert code == 2 and "ConfigInvalid" in err
 
 
+@pytest.mark.parametrize("command", ["reduce", "spectrum", "qpe"])
+@pytest.mark.parametrize("k, m, size", [(5, 2, 4), (4, 2, 4), (9, 1, 3), (7, 1, 3), (1, 1, 1)])
+def test_random_pencil_bandwidth_at_least_size_exits_2(command, k, m, size, tmp_path, capsys):
+    code, out, err = run_cli(capsys, command, "--k", str(k), "--m", str(m),
+                             "--size", str(size))
+    assert (code, out) == (2, "") and "ConfigInvalid" in err and "k < size" in err
+    path = write_problem(tmp_path, json.dumps({"k": k, "m": m, "size": size}))
+    code, out, err = run_cli(capsys, command, "--problem", path)
+    assert (code, out) == (2, "") and "ConfigInvalid" in err and "k < size" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("scan-trotter", "--steps", "0"),
     ("scan-trotter", "--steps", "-2"),
@@ -302,8 +315,10 @@ def test_invalid_random_pencil_exits_2_from_flags_and_file(k, m, size, tmp_path,
     ("scan-commutator", "--sizes", "0"),
     ("scan-trotter", "--time", "nan"),
     ("scan-trotter", "--time", "inf"),
+    ("scan-commutator", "--sizes", "2,1"),
+    ("scan-sparsity", "--k", "4", "--m", "4", "--sizes", "8,4"),
 ], ids=["steps-0", "steps-negative", "m-0", "sizes-0", "k-negative", "sizes-indivisible",
-        "commutator-sizes-0", "time-nan", "time-inf"])
+        "commutator-sizes-0", "time-nan", "time-inf", "commutator-sizes-1", "sizes-not-above-k"])
 def test_out_of_range_scan_flag_exits_2(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -396,6 +411,44 @@ def test_qpe_ground_trial_decomposes_once(route, tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "spectrum", "--problem", path)
     assert code == 0
     assert decompositions == [] and jacobi_dims == [15]
+
+
+@pytest.mark.parametrize("trial", ["ground", "uniform"])
+@pytest.mark.parametrize("t_bits", [4, 5, 6])
+def test_one_step_trotter_qpe_matches_a_dense_cycle_on_the_cayley_path(
+        trial, t_bits, tmp_path, capsys, monkeypatch):
+    # One step per unit power widens the cycle's phase window past _WINDOW_MAX
+    windows = []
+    real = qpe._phase_window
+    monkeypatch.setattr(qpe, "_phase_window",
+                        lambda *args: windows.append(real(*args)) or real(*args))
+    path = write_problem(
+        tmp_path, '{"p":{"poly":[1,0.5]},"q":{"constant":0.3},"r":{"poly":[1,1]},"n":7}')
+    code, out, _ = run_cli(capsys, "qpe", "--problem", path, "--evolution", "trotter",
+                           "--trotter-steps", "1", "--t-bits", str(t_bits), "--trial", trial)
+    assert code == 0
+    assert len(windows) == 1 and windows[0][1] > qpe._WINDOW_MAX
+
+    # Reference: the dense cycle diag(exp(-i h1 dt)) V exp(-i w dt) V^H, applied a times
+    spec, grid = load_problem_spec(path)
+    H = reduce_sqrt(*build_sl_generalized(spec, grid)).hamiltonian
+    ss = qpe.gershgorin_shift_scale(H)
+    h1, h2 = qpe.split_tridiagonal(ss.map_matrix(H))
+    dt = -2.0 * np.pi
+    w, V = np.linalg.eigh(h2.to_dense())
+    cycle = (np.exp(-1j * dt * h1.diagonals[0].real)[:, None]
+             * ((V * np.exp(-1j * dt * w)) @ V.conj().T))
+    if trial == "ground":
+        psi = np.linalg.eigh(ss.map_matrix(H).to_dense())[1][:, 0]
+    else:
+        psi = np.full(H.size, H.size ** -0.5)
+    M = 2 ** t_bits
+    powers = [psi]
+    for _ in range(M - 1):
+        powers.append(cycle @ powers[-1])
+    fourier = np.exp(-2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M) / M
+    expected = (np.abs(fourier @ np.array(powers)) ** 2).sum(axis=1)
+    assert np.abs(np.array(json.loads(out)["distribution"]) - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("argv", [("qpe", "--t-bits", "5", "--shots", "4"),
@@ -505,3 +558,96 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     for _ in range(3):
         assert run_cli(capsys, "scan-commutator", "--sizes", "8")[0] == 0
     assert len(built) <= 1
+
+
+# ------------------------------------------------- float arrays and "%.17g"
+
+
+def template_json(value):
+    """A 1-D or 2-D float array through one "%.17g" template, entry by entry."""
+    row = "[" + ",".join(["%.17g"] * value.shape[-1]) + "]"
+    if value.ndim == 2:
+        row = "[" + ",".join([row] * value.shape[0]) + "]"
+    return row % tuple(value.ravel().tolist())
+
+
+def _random_bit_patterns():
+    bits = np.random.default_rng(22).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def _powers_and_neighbours():
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+def _edges_and_neighbours():
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    edges = np.array([1e-280, 1e280, 1e16, 1e17, 1e-4, 1e-5, tiny, huge / 2])
+    subnormals = np.ldexp(np.arange(1.0, 4097.0), -1074)
+    return np.concatenate([[0.0, huge, 5e-324], subnormals, edges,
+                           np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+
+
+def _everyday_values():
+    rng = np.random.default_rng(23)
+    y = np.arange(4096)
+    delta = 0.3217 - y / 4096
+    fejer = (np.sin(np.pi * 4096 * delta) / (4096 * np.sin(np.pi * delta))) ** 2
+    dyadic = rng.integers(1, 2 ** 30, 20_000) / 2.0 ** rng.integers(0, 60, 20_000)
+    return np.concatenate([fejer, dyadic, np.arange(-5000.0, 5000.0),
+                           rng.standard_normal(20_000) * 10.0 ** rng.integers(-20, 20, 20_000)])
+
+
+@pytest.mark.parametrize("values", [_random_bit_patterns, _powers_and_neighbours,
+                                    _edges_and_neighbours, _everyday_values],
+                         ids=["random-bits", "powers", "edges", "everyday"])
+def test_float_array_kernel_writes_the_template_bytes(values):
+    values = values()
+    for signed in (values, -values[:50_000]):
+        assert _to_json(signed) == template_json(signed)
+
+
+def test_float_array_kernel_sends_ties_to_the_template(monkeypatch):
+    ties = np.arange(2 ** 17 + 1, 10 * 2 ** 17, 2) / 2 ** 17  # 18 digits, the last a 5
+    fallback = []
+
+    class Field(str):
+        def __mod__(self, value):
+            fallback.append(value)
+            return str.__mod__(self, value)
+
+    real = cli._float_field
+    monkeypatch.setattr(cli, "_float_field", lambda values: Field(real(values)))
+    assert _to_json(ties) == template_json(ties)
+    assert len(fallback) == ties.size
+
+
+@pytest.mark.parametrize("shape", [(cli._BLOCK * 2 + 3,), (1,), (1025, 2), (3001, 7),
+                                   (1, 5000), (5, 0), (0, 3), (0,)])
+def test_float_array_kernel_keeps_the_layout_of_each_shape(shape, rng):
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    values[rng.random(shape) < 0.3] = 0.0
+    for arr in (values, -values, values.astype(np.float32)):
+        assert _to_json(arr) == template_json(arr)
+    if values.ndim == 2:
+        assert _to_json(values.T) == template_json(values.T)
+
+
+def test_float_array_kernel_refuses_non_finite_arrays_before_formatting(monkeypatch):
+    monkeypatch.setattr(cli, "_format_block", lambda *args: pytest.fail("formatted"))
+    for bad in (np.array([1.0, np.nan]), np.array([[0.5, -np.inf]]), np.full(5000, np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            _to_json(bad)
+
+
+def test_powers_of_ten_table_is_exact():
+    hi, lo, hi_top, hi_bottom = cli._POW10
+    for s in range(-300, 301):
+        exact = Fraction(10) ** s
+        assert hi[s + 300] == float(exact)
+        assert lo[s + 300] == float(exact - Fraction(hi[s + 300]))
+    assert (hi_top + hi_bottom == hi).all()
+    assert (np.frexp(hi_top)[0] * 2 ** 26 % 1 == 0).all()  # 26 significant bits
